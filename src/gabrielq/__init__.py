@@ -11,4 +11,4 @@ property suites for the supporting lemmas.  The `gq` console script is
 the front end.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

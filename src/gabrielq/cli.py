@@ -1,19 +1,20 @@
 """gq: command-line front end.
 
 Exit codes: 0 = all checks pass, 1 = violations found, 2 = usage or
-contract error.  GQ_TIME_BUDGET_SECS (default 300) caps suite runtime;
-exceeding it aborts with exit code 2 rather than truncating a report,
-so reports stay byte-identical across runs.
+contract error.  GQ_TIME_BUDGET_SECS (default 300) is one deadline for
+the whole command, checked once per S-pair inside every Groebner basis
+computation and again before a suite report is written; exceeding it
+aborts with exit code 2 rather than truncating a report, so reports stay
+byte-identical across runs.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-import time
 
 from .poly import PolyParseError
-from .groebner import Ideal
+from .groebner import Ideal, check_deadline, time_budget
 from .dim_filtration import InternalCheckError, sat_g, unmixed_split
 from .domain import DomainError, SubQ
 from .corpus import (
@@ -50,18 +51,6 @@ SUITES = (
     "lemma-3.2",
     "thm-3.4-survey",
 )
-
-
-class _Budget:
-    def __init__(self):
-        self.limit = float(os.environ.get("GQ_TIME_BUDGET_SECS", "300"))
-        self.start = time.monotonic()
-
-    def check(self):
-        if time.monotonic() - self.start > self.limit:
-            raise TimeoutError(
-                f"suite exceeded the GQ_TIME_BUDGET_SECS limit of {self.limit}s"
-            )
 
 
 def _context(args) -> RmContext:
@@ -217,7 +206,6 @@ def cmd_quotient_survey(args) -> int:
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
-    budget = _Budget()
     samples, seed = args.samples, args.seed
     if args.suite == "filter-axioms":
         report = check_filter_axioms(ctx, samples, seed)
@@ -244,7 +232,7 @@ def cmd_verify(args) -> int:
         report = check_thm_3_4_premise(ctx, M, samples, seed)
     else:
         raise ValueError(f"unknown suite: {args.suite}")
-    budget.check()
+    check_deadline()
     return _emit(report, args)
 
 
@@ -323,7 +311,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        limit = float(os.environ.get("GQ_TIME_BUDGET_SECS", "300"))
+        with time_budget(
+            limit, f"suite exceeded the GQ_TIME_BUDGET_SECS limit of {limit}s"
+        ):
+            return args.func(args)
     except (RingSpecError, DomainError, PolyParseError, ValueError,
             ZeroDivisionError, TimeoutError) as exc:
         print(f"gq: error: {exc}", file=sys.stderr)

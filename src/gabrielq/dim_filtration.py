@@ -74,14 +74,6 @@ def _leading_coeff_factors(I: Ideal, indep: tuple[int, ...]) -> list[Polynomial]
     return factors
 
 
-def _leading_coeff_product(I: Ideal, indep: tuple[int, ...]) -> Polynomial:
-    """Product of the distinct nonconstant leading coefficients."""
-    h = Polynomial.one(I.vars)
-    for f in _leading_coeff_factors(I, indep):
-        h = h * f
-    return h
-
-
 def _saturate_by_factors(I: Ideal, factors, h: Polynomial):
     """(I : h^inf) for h = prod(factors), saturating one factor at a time.
 

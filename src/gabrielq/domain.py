@@ -108,7 +108,8 @@ class FractionQ:
         return self.num.is_zero
 
     def _check(self, other: "FractionQ"):
-        if self.dom is not other.dom and self.dom.vars != other.dom.vars:
+        # the same ring means the same variables and the same ideal P
+        if self.dom is not other.dom and not self.dom.P.equals(other.dom.P):
             raise ValueError("fractions over different domains")
 
     def __add__(self, other: "FractionQ") -> "FractionQ":

@@ -7,14 +7,19 @@ sum/product/intersection, quotients, saturation, and elimination.
 from __future__ import annotations
 
 import heapq
+import math
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 
 from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
     elimination_order,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -57,83 +62,6 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomia
         else:
             remainder[m] = c
     return Polynomial(f.vars, remainder)
-
-
-def _normal_form_scaled(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
-    """Scalar multiple of normal_form(f, G, order), via fraction-free
-    pseudo-reduction over the integers.
-
-    Inside Buchberger only the remainder up to a nonzero scalar matters
-    (the result is made monic or primitive afterwards), so the whole
-    computation runs on integer coefficients: when the leading coefficient
-    L of a reducer does not divide the working coefficient c, everything
-    is multiplied by L/gcd(c, L) first.  Rational arithmetic here is what
-    makes naive Buchberger crawl on dense inputs.
-
-    The working polynomial keeps its monomials in a lazy max-heap (stale
-    entries skipped on pop) so each step costs O(log n) rather than a full
-    scan, with order keys cached per monomial across calls.
-    """
-    from math import gcd
-    reducers = []
-    for g in G:
-        if g.is_zero:
-            continue
-        g = _primitive(g)
-        lt, lc = g.leading(order)
-        reducers.append(
-            (lt, int(lc),
-             [(m, int(c)) for m, c in g.terms.items() if m != lt])
-        )
-    if not reducers:
-        return f
-    f = _primitive(f)
-    negkey = _negkey_cache(order)
-    work = {m: int(c) for m, c in f.terms.items()}
-    heap = [(negkey(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict = {}
-    steps = 0
-    while heap:
-        m = heapq.heappop(heap)[1]
-        if m not in work:
-            continue
-        c = work.pop(m)
-        for lt, lc, tail in reducers:
-            if mono_divides(lt, m):
-                shift = mono_div(m, lt)
-                d = gcd(c, lc)
-                mult = lc // d
-                q = c // d
-                if mult != 1:
-                    work = {k: v * mult for k, v in work.items()}
-                    remainder = {k: v * mult for k, v in remainder.items()}
-                for gm, gc in tail:
-                    t = mono_mul(gm, shift)
-                    old = work.get(t, 0)
-                    s = old - q * gc
-                    if s:
-                        work[t] = s
-                        if old == 0:
-                            heapq.heappush(heap, (negkey(t), t))
-                    else:
-                        work.pop(t, None)
-                steps += 1
-                if steps % 8 == 0 and work:
-                    shrink = 0
-                    for v in work.values():
-                        shrink = gcd(shrink, v)
-                    for v in remainder.values():
-                        shrink = gcd(shrink, v)
-                    if shrink > 1:
-                        work = {k: v // shrink for k, v in work.items()}
-                        remainder = {
-                            k: v // shrink for k, v in remainder.items()
-                        }
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(f.vars, {m: Fraction(c) for m, c in remainder.items()})
 
 
 def _neg_tuple(k):
@@ -199,24 +127,24 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
     return q
 
 
-def _primitive(f: Polynomial) -> Polynomial:
-    """Integer-primitive scalar multiple of f (positive leading content).
+def _content_free(terms: dict) -> dict:
+    """Integer term map divided by the gcd of its coefficients."""
+    content = gcd(*terms.values())
+    if content > 1:
+        return {m: c // content for m, c in terms.items()}
+    return terms
 
-    Keeping basis elements primitive instead of monic avoids the rational
-    coefficient blowup that makes Buchberger crawl on dense inputs.
+
+def _primitive(f: Polynomial) -> dict:
+    """Integer-primitive multiple of f as a term map monomial -> int.
+
+    Buchberger works on integer coefficients with content 1 throughout:
+    rational coefficients are what make it crawl on dense inputs.
     """
-    if f.is_zero:
-        return f
-    from math import gcd, lcm
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    if den == 1 and num == 1:
-        return f
-    return f.scale(Fraction(den, num))
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return _content_free(
+        {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    )
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -231,95 +159,203 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return a * f - b * g
 
 
+# (time.monotonic() deadline, message) of the innermost time_budget, or None
+_DEADLINE: ContextVar = ContextVar("gabrielq_deadline", default=None)
+
+
+@contextmanager
+def time_budget(seconds: float, message: str):
+    """Bound the computation inside the block to `seconds` of wall time.
+
+    buchberger checks the deadline once per S-pair, so every layer above
+    it is bounded without passing the deadline down; past it, the pair
+    loop raises TimeoutError(message).
+    """
+    token = _DEADLINE.set((time.monotonic() + seconds, message))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise TimeoutError once the innermost time_budget has run out."""
+    deadline = _DEADLINE.get()
+    if deadline is not None and time.monotonic() > deadline[0]:
+        raise TimeoutError(deadline[1])
+
+
+def _reduce(work: dict, reducers, negkey) -> dict:
+    """Integer pseudo-remainder of `work` by `reducers`, with content 1.
+
+    `work` maps monomials to ints and is consumed; each reducer is an
+    integer triple (lt, lc, tail) with lc > 0.  The result is a positive
+    multiple of the remainder over Q, which is all Buchberger needs: when
+    lc does not divide the working coefficient c, everything is first
+    multiplied by lc/gcd(c, lc), so no Fraction is ever built.  The working
+    polynomial keeps its monomials in a lazy max-heap (stale entries
+    skipped on pop); the remainder comes out in descending monomial order,
+    so its first key is its leading monomial.
+    """
+    heap = [(negkey(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder: dict = {}
+    steps = 0
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lt, lc, tail in reducers:
+            if all(map(le, lt, m)):
+                shift = tuple(map(sub, m, lt))
+                d = gcd(c, lc)
+                if d != lc:
+                    mult = lc // d
+                    work = {k: v * mult for k, v in work.items()}
+                    remainder = {k: v * mult for k, v in remainder.items()}
+                q = c // d
+                for gm, gc in tail:
+                    t = tuple(map(add, gm, shift))
+                    old = work.get(t, 0)
+                    s = old - q * gc
+                    if s:
+                        work[t] = s
+                        if not old:
+                            heapq.heappush(heap, (negkey(t), t))
+                    else:
+                        del work[t]
+                steps += 1
+                if steps % 8 == 0 and work:
+                    shrink = gcd(*work.values(), *remainder.values())
+                    if shrink > 1:
+                        work = {k: v // shrink for k, v in work.items()}
+                        remainder = {k: v // shrink for k, v in remainder.items()}
+                break
+        else:
+            remainder[m] = c
+    return _content_free(remainder)
+
+
 def buchberger(gens, order: MonomialOrder):
     """Reduced Groebner basis of <gens> under `order`.
 
-    Buchberger with the coprime-leading-monomial and chain criteria and a
-    degree-ordered pair queue; output is monic, auto-reduced, and sorted by
-    ascending leading monomial (hence deterministic).
+    One integer kernel.  Every element that enters the basis is made
+    primitive over the integers once and stored once as a reducer
+    (lt, lc, tail), which every later reduction of the run reuses: the
+    inputs, each S-polynomial, and the final inter-reduction.
+    S-polynomials are built from two reducers directly, with
+    g = gcd(lc_i, lc_j), as (lc_j/g)·x^(m_i)·tail_i - (lc_i/g)·x^(m_j)·tail_j
+    where m_i = lcm/lt_i; no Fraction appears before the output.
+
+    Pairs are chosen by the sugar strategy (Giovini et al., "One sugar
+    cube, please", ISSAC 1991), which unlike the lcm degree also suits
+    the non-graded block elimination orders: an input's sugar is its
+    total degree, a pair's is max(s_i + deg lcm - deg lt_i, s_j + deg lcm
+    - deg lt_j), and a new element inherits the sugar of its pair.  Ties
+    go to the smaller lcm under `order`, then to the older pair.  Pairs
+    are skipped by the coprime-leading-monomial and chain criteria.
+
+    The output is monic, auto-reduced, and sorted by ascending leading
+    monomial (hence deterministic).
     """
-    vars = None
-    basis: list[Polynomial] = []
     key = order.key
+    negkey = _negkey_cache(order)
     start = sorted(
         (g for g in gens if not g.is_zero),
         key=lambda g: key(g.leading(order)[0]),
     )
-    for g in start:
-        vars = g.vars
-        g = _normal_form_scaled(g, basis, order)
-        if not g.is_zero:
-            basis.append(_primitive(g))
-    if not basis:
+    if not start:
         return []
-
-    lts = [g.leading(order)[0] for g in basis]
+    vars = start[0].vars
+    reducers: list = []  # (lt, lc, tail), integer coefficients, lc > 0
+    sugars: list = []
     heap: list = []
     pending: set = set()
     counter = 0
 
-    def push_pair(i, j):
+    def enter(terms, sugar) -> bool:
+        """Add a reduced element and its pairs; True when it is a
+        constant, i.e. <gens> is the unit ideal."""
         nonlocal counter
-        lcm = mono_lcm(lts[i], lts[j])
-        counter += 1
-        heapq.heappush(heap, (mono_deg(lcm), key(lcm), counter, i, j, lcm))
-        pending.add((i, j))
+        items = iter(terms.items())
+        lt, lc = next(items)
+        if not any(lt):
+            return True
+        tail = list(items)
+        if lc < 0:
+            lc = -lc
+            tail = [(m, -c) for m, c in tail]
+        new = len(reducers)
+        reducers.append((lt, lc, tail))
+        sugars.append(sugar)
+        deg_new = sum(lt)
+        for i in range(new):
+            lt_i = reducers[i][0]
+            if not any(map(min, lt_i, lt)):
+                continue  # coprime leading monomials: s-poly reduces to zero
+            lcm = tuple(map(max, lt_i, lt))
+            deg = sum(lcm)
+            s = max(sugars[i] + deg - sum(lt_i), sugar + deg - deg_new)
+            counter += 1
+            heapq.heappush(heap, (s, key(lcm), counter, i, new, lcm))
+            pending.add((i, new))
+        return False
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
+    for g in start:
+        r = _reduce(_primitive(g), reducers, negkey)
+        if r and enter(r, g.total_degree()):
+            return [Polynomial.one(vars)]
 
     while heap:
-        _, _, _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
+        check_deadline()
+        sugar, _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        # coprime leading monomials: s-poly reduces to zero
-        if lcm == mono_mul(lts[i], lts[j]):
-            continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(lts[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _normal_form_scaled(s, basis, order)
-        if r.is_zero:
-            continue
-        r = _primitive(r)
-        basis.append(r)
-        lts.append(r.leading(order)[0])
-        new = len(basis) - 1
-        for t in range(new):
-            push_pair(t, new)
-
-    # minimalize: drop elements whose LT is divisible by another LT
-    minimal: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        lt = lts[i]
         if any(
-            mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in range(len(basis))
-            if j != i
+            k != i and k != j and all(map(le, lt_k, lcm))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (lt_k, _, _) in enumerate(reducers)
         ):
             continue
-        minimal.append(g)
-    # auto-reduce tails
+        lt_i, lc_i, tail_i = reducers[i]
+        lt_j, lc_j, tail_j = reducers[j]
+        d = gcd(lc_i, lc_j)
+        f_i, f_j = lc_j // d, lc_i // d
+        shift_i, shift_j = mono_div(lcm, lt_i), mono_div(lcm, lt_j)
+        work = {tuple(map(add, m, shift_i)): f_i * c for m, c in tail_i}
+        for m, c in tail_j:
+            t = tuple(map(add, m, shift_j))
+            s = work.get(t, 0) - f_j * c
+            if s:
+                work[t] = s
+            else:
+                work.pop(t, None)
+        r = _reduce(work, reducers, negkey)
+        if r and enter(r, sugar):
+            return [Polynomial.one(vars)]
+
+    # minimalize: drop elements whose LT is divisible by another LT
+    lts = [r[0] for r in reducers]
+    minimal = [
+        i for i, lt in enumerate(lts)
+        if not any(
+            mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
+            for j in range(len(lts))
+            if j != i
+        )
+    ]
+    minimal.sort(key=lambda i: key(lts[i]))
+    # auto-reduce tails against the other minimal elements
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = _normal_form_scaled(g, others, order)
-        if not r.is_zero:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: key(g.leading(order)[0]))
+    for i in minimal:
+        lt, lc, tail = reducers[i]
+        work = dict(tail)
+        work[lt] = lc
+        r = _reduce(work, [reducers[j] for j in minimal if j != i], negkey)
+        lc = r[lt]
+        reduced.append(Polynomial(vars, {m: Fraction(c, lc) for m, c in r.items()}))
     return reduced
 
 

@@ -66,7 +66,7 @@ def in_Rc(q: FractionQ, ctx: RmContext) -> bool:
     witness route: search for c in c_m with qc in R; the routes must agree.
     """
     fast = q.in_R()
-    witness = q.in_R()  # c = 1 is a witness exactly when q is in R
+    witness = fast  # c = 1 is a witness exactly when q is in R
     if not witness:
         # nonzero rational constants exhaust c_m for 0 <= m < n
         witness = any(

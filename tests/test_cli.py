@@ -1,10 +1,12 @@
 """The gq command-line front end: reports, exit codes, determinism."""
 import io
 import contextlib
+import time
 
 import pytest
 
 from gabrielq.cli import main
+from gabrielq.groebner import check_deadline
 
 
 def run(argv):
@@ -143,6 +145,21 @@ def test_time_budget(monkeypatch):
                         "--samples", "5", "--seed", "1"])
     assert code == 2
     assert "GQ_TIME_BUDGET_SECS" in err
+
+
+def test_time_budget_bounds_the_computation(monkeypatch):
+    # this suite runs for seconds; the deadline is checked once per S-pair
+    # inside Buchberger, not only after the suite returns
+    monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "0.5")
+    start = time.monotonic()
+    code, out, err = run(["verify", "thm-2.4", "--ring", "R2", "--m", "1",
+                          "--samples", "300", "--seed", "1"])
+    elapsed = time.monotonic() - start
+    assert code == 2
+    assert out == ""
+    assert "GQ_TIME_BUDGET_SECS limit of 0.5s" in err
+    assert elapsed < 1.5
+    check_deadline()  # the deadline, long past, ended with the command
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -61,6 +61,18 @@ def test_fraction_equality_never_reduces(R3):
     assert not a.eq(R3.fraction("x", "y"))
 
 
+def test_fractions_over_different_rings_rejected(R1):
+    # same variable names, different defining ideal: Q[x,y]/(x^2 - y) is not R1
+    other = make_domain(("x", "y"), ["x^2 - y"])
+    x, y = R1.fraction("x"), other.fraction("y")
+    for op in (lambda: x * y, lambda: x + y, lambda: x - y, lambda: x.eq(y)):
+        with pytest.raises(ValueError):
+            op()
+    # another presentation of the same ring is the same ring
+    plane = make_domain(("x", "y"), [])
+    assert (x * plane.fraction("y")).eq(R1.fraction("x*y"))
+
+
 def test_in_R(R1, R2):
     assert R1.fraction("x^2*y", "x").in_R()
     assert not R1.fraction("y", "x").in_R()
