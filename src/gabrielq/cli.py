@@ -2,9 +2,10 @@
 
 Exit codes: 0 = all checks pass, 1 = violations found, 2 = usage or
 contract error.  GQ_TIME_BUDGET_SECS (default 300) is one deadline for
-the whole command, checked once per S-pair inside every Groebner basis
-computation and again before a suite report is written; exceeding it
-aborts with exit code 2 rather than truncating a report, so reports stay
+the whole command, checked once per term inside polynomial
+multiplication, once per S-pair inside every Groebner basis computation,
+and again before a suite report is written; exceeding it aborts with
+exit code 2 rather than truncating a report, so reports stay
 byte-identical across runs.
 """
 from __future__ import annotations
@@ -13,8 +14,8 @@ import argparse
 import os
 import sys
 
-from .poly import PolyParseError
-from .groebner import Ideal, check_deadline, time_budget
+from .poly import PolyParseError, check_deadline, time_budget
+from .groebner import Ideal
 from .dim_filtration import InternalCheckError, sat_g, unmixed_split
 from .domain import DomainError, SubQ
 from .corpus import (
@@ -109,8 +110,9 @@ def cmd_saturate(args) -> int:
         raise ValueError("saturate requires a proper ideal")
     report = Report("saturate", {"ring": ctx.R.name, "m": ctx.m,
                                  "ideal": args.ideal})
-    S = sat_g(I, ctx)  # raises InternalCheckError if V1/V2 fail
-    for i, p in enumerate(unmixed_split(I), 1):
+    pieces = unmixed_split(I)
+    S = sat_g(I, ctx, pieces)  # raises InternalCheckError if V1/V2 fail
+    for i, p in enumerate(pieces, 1):
         report.note(f"piece[{i}].ideal", p.ideal)
         report.note(f"piece[{i}].dim", p.dim)
         report.note(f"piece[{i}].independent_set", ",".join(p.independent_set))

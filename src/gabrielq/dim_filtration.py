@@ -14,19 +14,16 @@ from fractions import Fraction
 from .poly import DEGREVLEX, Polynomial, elimination_order
 from .groebner import (
     Ideal,
+    InternalCheckError,
     ideal_intersect,
-    ideal_member,
     ideal_quotient,
     ideal_sum,
     saturate_rabinowitsch,
+    saturation_exponent,
 )
 from .dimension import NEG_INF, krull_dim, krull_dim_with_set
 
 _MAX_PEELS = 100
-
-
-class InternalCheckError(RuntimeError):
-    """A verified post-condition failed: algorithmic bug, not user error."""
 
 
 @dataclass
@@ -79,20 +76,13 @@ def _saturate_by_factors(I: Ideal, factors, h: Polynomial):
 
     (I : (f·g)^inf) = ((I : f^inf) : g^inf), and each single-factor
     elimination stays small where the one-shot elimination by the dense
-    product h blows up.  The exponent s (least with h^s·T ⊆ I) is
-    recovered by membership tests, as in saturate().
+    product h blows up.  The exponent s (least with h^s·T ⊆ I) comes from
+    saturation_exponent, as in saturate().
     """
     T = I
     for f in factors:
         T = saturate_rabinowitsch(T, f)
-    power = Polynomial.one(I.vars)
-    s = 0
-    while not all(ideal_member(power * g, I) for g in T.groebner()):
-        power = power * h
-        s += 1
-        if s > 64:
-            raise InternalCheckError("saturation exponent search did not stabilize")
-    return T, s
+    return T, saturation_exponent(I, T, h)
 
 
 def unmixed_split(I: Ideal) -> list[SplitPiece]:
@@ -152,8 +142,11 @@ def unmixed_split(I: Ideal) -> list[SplitPiece]:
     return pieces
 
 
-def sat_g(I: Ideal, ctx) -> Ideal:
+def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
     """g-saturation: { r : (I : r) in g }, with verified post-conditions.
+
+    `pieces`, when given, is unmixed_split(I), which a caller that also
+    reports the split computes once and passes in.
 
     V1: every generator s of the result has dim(I : s) < m.
     V2: re-running the extraction on the result is a fixpoint (so R/S is
@@ -161,7 +154,8 @@ def sat_g(I: Ideal, ctx) -> Ideal:
     """
     m = ctx.m
     dom = ctx.R
-    pieces = unmixed_split(I)
+    if pieces is None:
+        pieces = unmixed_split(I)
     keep = [p.ideal for p in pieces if p.dim >= m]
     if not keep:
         S = dom.unit_ideal()

@@ -26,9 +26,19 @@ from . import sampling
 
 @dataclass
 class FilterContext:
+    """The m-Gabriel filter on R, shared by every predicate of this module.
+
+    `_checked_c` holds the key (variables, reduced degrevlex basis) of the
+    last ideal whose in_c cross-check passed, so that in_v and in_w on the
+    same ideal do not search for a witness again.  The reduced basis is
+    canonical, so equal keys mean equal ideals.  One entry is enough: the
+    callers ask c, v and w of one ideal back to back.
+    """
+
     R: AffineDomain
     m: int
     witness_degree: int = 6
+    _checked_c: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.R.n < 1:
@@ -64,16 +74,17 @@ def in_vm(c: Polynomial, ctx: FilterContext) -> bool:
     Characterized route: equals in_cm (catenary chains pass any component
     of dimension >= m through a dimension-m prime).  Oracle route: c is a
     unit, or c is nonzero and the unmixed split of (c)+P has no piece of
-    dimension >= m.  The two must agree.
+    dimension >= m.  The two must agree.  Both routes read one ideal
+    J = (c)+P, so its basis is computed once.
     """
-    fast = in_cm(c, ctx)
-    if ctx.R.is_unit_elem(c):
+    J = ctx.R.ideal([c])
+    fast = krull_dim(J) < ctx.m
+    if J.is_unit:
         oracle = True
     elif ctx.R.is_zero_elem(c):
         oracle = False
     else:
-        pieces = unmixed_split(ctx.R.ideal([c]))
-        oracle = all(p.dim < ctx.m for p in pieces)
+        oracle = all(p.dim < ctx.m for p in unmixed_split(J))
     if fast != oracle:
         raise InternalCheckError(
             f"in_vm routes disagree on {c}: characterized={fast} split-oracle={oracle}"
@@ -107,20 +118,29 @@ def in_c(I: Ideal, ctx: FilterContext, rng: random.Random | None = None) -> bool
 
     Both the characterized route and a bounded witness search run; a
     positive search with a negative fast path (or vice versa) is a bug.
+    Each distinct ideal is validated and searched once per context: when I
+    equals the last ideal that passed (ctx._checked_c), the fast path is
+    returned without drawing from rng.
     """
-    ctx.require_ideal_of_R(I)
     fast = I.is_unit
-    rng = rng or random.Random(0)
-    witness = _bounded_unit_witness(I, ctx, rng)
+    key = (I.vars, I.groebner())
+    if key == ctx._checked_c:
+        return fast
+    ctx.require_ideal_of_R(I)
+    witness = _bounded_unit_witness(I, ctx, rng or random.Random(0))
     if fast and witness is None:
         raise InternalCheckError("in_c fast path true but no witness found")
     if not fast and witness is not None:
         raise InternalCheckError(f"in_c fast path false but witness {witness} found")
+    ctx._checked_c = key
     return fast
 
 
 def in_v(I: Ideal, ctx: FilterContext, rng: random.Random | None = None) -> bool:
-    """I in v iff I meets v_m; v_m = c_m here, so in_v = in_c."""
+    """I in v iff I meets v_m; v_m = c_m here, so in_v = in_c.
+
+    Right after in_c on an equal ideal, this reuses that call's cross-check.
+    """
     return in_c(I, ctx, rng)
 
 
@@ -146,7 +166,9 @@ def in_w(I: Ideal, ctx: FilterContext, rng: random.Random | None = None) -> bool
     """I in w iff R/I is c_m-torsion; c_m is central hence Ore, so w = c.
 
     Torsion-witness oracle: R/I is c_m-torsion iff some c in c_m lies in I
-    (the class of 1 must be killed), which is the same bounded search.
+    (the class of 1 must be killed), which is the same bounded search; it
+    runs once per ideal, so right after in_c or in_v on an equal ideal
+    their cross-check is reused.
     """
     return in_c(I, ctx, rng)
 

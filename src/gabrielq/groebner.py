@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
@@ -19,12 +16,17 @@ from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
+    check_deadline,
     elimination_order,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
 )
+
+
+class InternalCheckError(RuntimeError):
+    """A verified post-condition failed: algorithmic bug, not user error."""
 
 
 def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -157,32 +159,6 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     a = Polynomial(vars, {mf: Fraction(1) / cf})
     b = Polynomial(vars, {mg: Fraction(1) / cg})
     return a * f - b * g
-
-
-# (time.monotonic() deadline, message) of the innermost time_budget, or None
-_DEADLINE: ContextVar = ContextVar("gabrielq_deadline", default=None)
-
-
-@contextmanager
-def time_budget(seconds: float, message: str):
-    """Bound the computation inside the block to `seconds` of wall time.
-
-    buchberger checks the deadline once per S-pair, so every layer above
-    it is bounded without passing the deadline down; past it, the pair
-    loop raises TimeoutError(message).
-    """
-    token = _DEADLINE.set((time.monotonic() + seconds, message))
-    try:
-        yield
-    finally:
-        _DEADLINE.reset(token)
-
-
-def check_deadline() -> None:
-    """Raise TimeoutError once the innermost time_budget has run out."""
-    deadline = _DEADLINE.get()
-    if deadline is not None and time.monotonic() > deadline[0]:
-        raise TimeoutError(deadline[1])
 
 
 def _reduce(work: dict, reducers, negkey) -> dict:
@@ -597,8 +573,7 @@ def saturate(I: Ideal, f: Polynomial):
 
     s is the least exponent with (I : f^s) = (I : f^(s+1)).  The stable
     ideal comes from one elimination (the inverted-variable trick); the
-    exponent from membership tests f^s·T ⊆ I, which pin down the same s
-    because the quotient chain (I : f^k) increases monotonically to T.
+    exponent from membership tests f^s·T ⊆ I (saturation_exponent).
     Iterating ideal_quotient instead would intersect against a principal
     ideal once per step, which is far more expensive for dense f.
     """
@@ -607,17 +582,28 @@ def saturate(I: Ideal, f: Polynomial):
     if I.is_unit:
         return I, 0
     T = saturate_rabinowitsch(I, f)
-    power = Polynomial.one(I.vars)
-    s = 0
-    while not all(ideal_member(power * g, I) for g in T.groebner()):
-        power = power * f
-        s += 1
-        if s > _MAX_SATURATION_EXPONENT:
-            raise ValueError("saturation exponent search did not terminate")
-    return T, s
+    return T, saturation_exponent(I, T, f)
 
 
 _MAX_SATURATION_EXPONENT = 64
+
+
+def saturation_exponent(I: Ideal, T: Ideal, h: Polynomial) -> int:
+    """Least s with h^s·T ⊆ I, for T = (I : h^inf), by membership tests.
+
+    The quotient chain (I : h^k) increases monotonically to T, so this is
+    also the least s with (I : h^s) = (I : h^(s+1)).  An exponent past
+    _MAX_SATURATION_EXPONENT means T was not the saturation: an internal
+    failure, not bad input.
+    """
+    power = Polynomial.one(I.vars)
+    s = 0
+    while not all(ideal_member(power * g, I) for g in T.groebner()):
+        power = power * h
+        s += 1
+        if s > _MAX_SATURATION_EXPONENT:
+            raise InternalCheckError("saturation exponent search did not terminate")
+    return s
 
 
 def saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:

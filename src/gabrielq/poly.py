@@ -6,9 +6,38 @@ equality of term maps is equality of polynomials (canonical form).
 """
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 Mono = tuple  # exponent vector
+
+# (time.monotonic() deadline, message) of the innermost time_budget, or None
+_DEADLINE: ContextVar = ContextVar("gabrielq_deadline", default=None)
+
+
+@contextmanager
+def time_budget(seconds: float, message: str):
+    """Bound the computation inside the block to `seconds` of wall time.
+
+    Polynomial multiplication checks the deadline once per term of its
+    left operand, and buchberger once per S-pair, so every layer above
+    them (parsing and powers included) is bounded without passing the
+    deadline down; past it, the check raises TimeoutError(message).
+    """
+    token = _DEADLINE.set((time.monotonic() + seconds, message))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise TimeoutError once the innermost time_budget has run out."""
+    deadline = _DEADLINE.get()
+    if deadline is not None and time.monotonic() > deadline[0]:
+        raise TimeoutError(deadline[1])
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -195,6 +224,7 @@ class Polynomial:
         self._check(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
+            check_deadline()
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
                 s = out.get(m, 0) + c1 * c2

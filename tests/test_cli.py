@@ -6,7 +6,7 @@ import time
 import pytest
 
 from gabrielq.cli import main
-from gabrielq.groebner import check_deadline
+from gabrielq.poly import check_deadline
 
 
 def run(argv):
@@ -160,6 +160,20 @@ def test_time_budget_bounds_the_computation(monkeypatch):
     assert "GQ_TIME_BUDGET_SECS limit of 0.5s" in err
     assert elapsed < 1.5
     check_deadline()  # the deadline, long past, ended with the command
+
+
+def test_time_budget_bounds_polynomial_powers(monkeypatch):
+    # parsing this power runs for seconds of Polynomial multiplication
+    # before any Groebner basis is computed
+    monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "0.5")
+    start = time.monotonic()
+    code, out, err = run(["membership", "--ring", "R1", "--m", "1",
+                          "(x + y + 1)^80"])
+    elapsed = time.monotonic() - start
+    assert code == 2
+    assert out == ""
+    assert "GQ_TIME_BUDGET_SECS limit of 0.5s" in err
+    assert elapsed < 1.5
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from gabrielq import filters, sampling
 from gabrielq.poly import Polynomial
-from gabrielq.groebner import ideal_intersect, ideal_sum
+from gabrielq.groebner import Ideal, ideal_intersect, ideal_sum
+from gabrielq.dim_filtration import InternalCheckError
 from gabrielq.filters import (
     FilterContext,
     check_filter_axioms,
@@ -32,7 +34,6 @@ def test_context_validates_m(R1):
 
 
 def test_require_ideal_of_R(R3, ctx3):
-    from gabrielq.groebner import Ideal
     bare = Ideal(R3.vars, (R3.parse("x"),))  # misses P
     with pytest.raises(ValueError):
         in_g(bare, ctx3)
@@ -86,6 +87,75 @@ def test_ideal_families_collapse(ctx1):
     assert in_c(unit, ctx1, rng)
     assert not in_c(small, ctx1, rng)
     assert in_h(unit, ctx1) and in_h(small, ctx1) and not in_h(curve, ctx1)
+
+
+def test_witness_search_runs_once_per_ideal(R1, monkeypatch):
+    calls = []
+    search = filters._bounded_unit_witness
+
+    def counted(I, ctx, rng, *args, **kw):
+        calls.append(I)
+        return search(I, ctx, rng, *args, **kw)
+
+    monkeypatch.setattr(filters, "_bounded_unit_witness", counted)
+    ctx = RmContext(R1, 1)
+    rng = random.Random(0)
+    small = R1.ideal([R1.parse("x"), R1.parse("y")])
+    assert not in_c(small, ctx, rng)
+    assert not in_v(small, ctx, rng)
+    assert not in_w(small, ctx, rng)
+    assert len(calls) == 1
+    # the same ideal from other generators is recognised by its basis
+    assert not in_w(R1.ideal([R1.parse("x + y"), R1.parse("y")]), ctx, rng)
+    assert len(calls) == 1
+    # in_g and in_h leave the remembered ideal alone
+    assert in_g(small, ctx) and in_h(small, ctx)
+    assert not in_v(small, ctx, rng)
+    assert len(calls) == 1
+    unit = R1.unit_ideal()
+    assert in_c(unit, ctx, rng) and in_v(unit, ctx, rng) and in_w(unit, ctx, rng)
+    assert len(calls) == 2
+    # one entry: going back to the first ideal searches again
+    assert not in_c(small, ctx, rng)
+    assert len(calls) == 3
+    # a fresh context remembers nothing
+    assert not in_c(small, RmContext(R1, 1), rng)
+    assert len(calls) == 4
+
+
+def test_memo_does_not_skip_validation(R3):
+    ctx = RmContext(R3, 1)
+    assert not in_c(R3.ideal([R3.parse("x")]), ctx)
+    bare = Ideal(R3.vars, (R3.parse("x"),))  # misses P
+    with pytest.raises(ValueError):
+        in_c(bare, ctx)
+
+
+def test_witness_cross_check_is_live(R1, monkeypatch):
+    ctx = RmContext(R1, 1)
+    small = R1.ideal([R1.parse("x"), R1.parse("y")])
+    one = Polynomial.one(R1.vars)
+    monkeypatch.setattr(filters, "_bounded_unit_witness", lambda *a, **kw: one)
+    for predicate in (in_c, in_v, in_w):
+        with pytest.raises(InternalCheckError):
+            predicate(small, ctx)
+    # a failed cross-check is not remembered
+    monkeypatch.setattr(filters, "_bounded_unit_witness", lambda *a, **kw: None)
+    assert not in_c(small, ctx)
+    with pytest.raises(InternalCheckError):
+        in_c(R1.unit_ideal(), ctx)
+
+
+def test_vm_verdicts_on_R2(ctx2):
+    R2 = ctx2.R
+    known = {"5": True, "b*c - a*d + 2": True, "b*c - a*d": False,
+             "0": False, "a": False, "a*d + 1": False, "b^2 - 3": False}
+    for text, verdict in known.items():
+        assert in_vm(R2.parse(text), ctx2) is verdict
+    rng = random.Random(3)
+    for _ in range(8):
+        c = sampling.random_element(rng, R2)
+        assert in_vm(c, ctx2) == in_cm(c, ctx2) == in_cm_unit_route(c, ctx2)
 
 
 def test_inclusion_lattice_on_known_ideals(ctx2):

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from gabrielq.poly import DEGREVLEX, LEX, Polynomial, parse_poly
+from gabrielq import groebner
 from gabrielq.groebner import (
     Ideal,
+    InternalCheckError,
     buchberger,
     divide_single,
     eliminate,
@@ -151,6 +153,14 @@ def test_saturation_oracle():
     # deeper exponent
     S, s = saturate(I("x*y^3"), P("y"))
     assert S.equals(I("x")) and s == 3
+
+
+def test_saturation_exponent_cap_is_an_internal_error(monkeypatch):
+    # s = 3 is needed; a cap of 2 means the search cannot stabilize, which
+    # is a failed post-condition rather than bad input
+    monkeypatch.setattr(groebner, "_MAX_SATURATION_EXPONENT", 2)
+    with pytest.raises(InternalCheckError):
+        saturate(I("x*y^3"), P("y"))
 
 
 def test_saturation_cross_check():
