@@ -4,7 +4,8 @@ Exit codes: 0 = all checks pass, 1 = violations found, 2 = usage or
 contract error.  GQ_TIME_BUDGET_SECS (default 300) is one deadline for
 the whole command, checked once per term inside polynomial
 multiplication, once per S-pair inside every Groebner basis computation,
-and again before a suite report is written; exceeding it aborts with
+once per reduction step of every normal form and division, and again
+before a suite report is written; exceeding it aborts with
 exit code 2 rather than truncating a report, so reports stay
 byte-identical across runs.
 """
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
     try:
         limit = float(os.environ.get("GQ_TIME_BUDGET_SECS", "300"))
         with time_budget(
-            limit, f"suite exceeded the GQ_TIME_BUDGET_SECS limit of {limit}s"
+            limit, f"command exceeded the GQ_TIME_BUDGET_SECS limit of {limit}s"
         ):
             return args.func(args)
     except (RingSpecError, DomainError, PolyParseError, ValueError,

@@ -140,14 +140,5 @@ def module_dim(S: Ideal, I: Ideal):
     for g in I.gens:
         if not S.contains(g):
             raise ValueError("module_dim requires I ⊆ S")
-    best = NEG_INF
-    for s in S.gens:
-        if s.is_zero or I.contains(s):
-            continue
-        d = krull_dim(ideal_quotient(I, s))
-        if d > best:
-            best = d
-    if not S.gens:
-        # S is the zero ideal; S/I is zero
-        return NEG_INF
-    return best
+    # (I : s) is the unit ideal, of dimension NEG_INF, when s ∈ I
+    return max((krull_dim(ideal_quotient(I, s)) for s in S.gens), default=NEG_INF)

@@ -235,12 +235,13 @@ def check_lemma_1_2(ctx: FilterContext, samples: int, seed: int) -> Report:
             witness = I
     for _ in range(samples):
         c = sampling.random_element(rng, ctx.R)
+        cm = in_cm(c, ctx)
         report.check(
-            "element-inclusion", (not in_cm(c, ctx)) or in_vm(c, ctx),
+            "element-inclusion", (not cm) or in_vm(c, ctx),
             element=str(c),
         )
         report.check(
-            "cm-unit-route", in_cm(c, ctx) == in_cm_unit_route(c, ctx),
+            "cm-unit-route", cm == in_cm_unit_route(c, ctx),
             element=str(c),
         )
     if witness is None:

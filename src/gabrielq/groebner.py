@@ -43,14 +43,15 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomia
         reducers.append((lt, lc, [(m, c) for m, c in g.terms.items() if m != lt]))
     if not reducers:
         return f
-    key = order.key
+    negkey = _negkey_cache(order)
     work = dict(f.terms)
     remainder: dict = {}
     while work:
-        m = max(work, key=key)
+        m = min(work, key=negkey)  # the largest monomial
         c = work.pop(m)
         for lt, lc, tail in reducers:
             if mono_divides(lt, m):
+                check_deadline()
                 shift = mono_div(m, lt)
                 factor = c / lc
                 for gm, gc in tail:
@@ -97,14 +98,15 @@ def divide_single(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     lt, lc = g.leading(order)
-    key = order.key
+    negkey = _negkey_cache(order)
     work = dict(f.terms)
     quotient: dict = {}
     remainder: dict = {}
     while work:
-        m = max(work, key=key)
+        m = min(work, key=negkey)  # the largest monomial
         c = work.pop(m)
         if mono_divides(lt, m):
+            check_deadline()
             shift = mono_div(m, lt)
             factor = c / lc
             quotient[shift] = quotient.get(shift, 0) + factor
@@ -213,7 +215,65 @@ def _reduce(work: dict, reducers, negkey) -> dict:
     return _content_free(remainder)
 
 
-def buchberger(gens, order: MonomialOrder):
+def _as_reducer(terms: dict) -> tuple:
+    """(lt, lc, tail) with lc > 0 from an integer term map that lists its
+    leading monomial first, as _reduce's remainders do."""
+    items = iter(terms.items())
+    lt, lc = next(items)
+    tail = list(items)
+    if lc < 0:
+        return lt, -lc, [(m, -c) for m, c in tail]
+    return lt, lc, tail
+
+
+def _reducer(f: Polynomial, order: MonomialOrder) -> tuple:
+    """(lt, lc, tail) of the integer-primitive multiple of f, with lc > 0."""
+    terms = _primitive(f)
+    lt = f.leading(order)[0]
+    return _as_reducer({lt: terms.pop(lt), **terms})
+
+
+def _reduced_from_reducers(reducers, order: MonomialOrder, vars) -> list:
+    """Buchberger's final stage: the reduced basis of a Groebner basis.
+
+    `reducers` are the integer (lt, lc, tail) triples of a Groebner basis
+    under `order`.  Elements whose leading monomial another one divides are
+    dropped (of equal ones the first is kept), and each remaining tail is
+    reduced by the other remaining elements.  The output is monic and
+    sorted by ascending leading monomial, hence canonical.
+    """
+    key = order.key
+    negkey = _negkey_cache(order)
+    lts = [r[0] for r in reducers]
+    minimal = [
+        i for i, lt in enumerate(lts)
+        if not any(
+            mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
+            for j in range(len(lts))
+            if j != i
+        )
+    ]
+    minimal.sort(key=lambda i: key(lts[i]))
+    reduced = []
+    for i in minimal:
+        lt, lc, tail = reducers[i]
+        work = dict(tail)
+        work[lt] = lc
+        r = _reduce(work, [reducers[j] for j in minimal if j != i], negkey)
+        lc = r[lt]
+        reduced.append(Polynomial(vars, {m: Fraction(c, lc) for m, c in r.items()}))
+    return reduced
+
+
+def reduced_basis(G, order: MonomialOrder = DEGREVLEX) -> list:
+    """The reduced Groebner basis of <G>, for G already a Groebner basis
+    under `order`: Buchberger's final stage alone, with no S-pairs."""
+    if not G:
+        return []
+    return _reduced_from_reducers([_reducer(g, order) for g in G], order, G[0].vars)
+
+
+def buchberger(gens, order: MonomialOrder, known: int = 0):
     """Reduced Groebner basis of <gens> under `order`.
 
     One integer kernel.  Every element that enters the basis is made
@@ -224,6 +284,13 @@ def buchberger(gens, order: MonomialOrder):
     g = gcd(lc_i, lc_j), as (lc_j/g)·x^(m_i)·tail_i - (lc_i/g)·x^(m_j)·tail_j
     where m_i = lcm/lt_i; no Fraction appears before the output.
 
+    `known` marks a known basis: the first `known` generators are a
+    Groebner basis under `order`.  They enter first and as given (made
+    primitive, not reduced against each other), and no pair of two of
+    them is queued: its S-polynomial already has a standard representation
+    in the known basis, so it would reduce to zero.  The caller vouches
+    for the mark; the output is the same as without it.
+
     Pairs are chosen by the sugar strategy (Giovini et al., "One sugar
     cube, please", ISSAC 1991), which unlike the lcm degree also suits
     the non-graded block elimination orders: an input's sugar is its
@@ -233,40 +300,38 @@ def buchberger(gens, order: MonomialOrder):
     are skipped by the coprime-leading-monomial and chain criteria.
 
     The output is monic, auto-reduced, and sorted by ascending leading
-    monomial (hence deterministic).
+    monomial (hence deterministic); see _reduced_from_reducers.
     """
     key = order.key
     negkey = _negkey_cache(order)
+    gens = list(gens)
+    basis = [g for g in gens[:known] if not g.is_zero]
     start = sorted(
-        (g for g in gens if not g.is_zero),
+        (g for g in gens[known:] if not g.is_zero),
         key=lambda g: key(g.leading(order)[0]),
     )
-    if not start:
+    if not basis and not start:
         return []
-    vars = start[0].vars
+    vars = (basis or start)[0].vars
     reducers: list = []  # (lt, lc, tail), integer coefficients, lc > 0
     sugars: list = []
     heap: list = []
     pending: set = set()
     counter = 0
 
-    def enter(terms, sugar) -> bool:
-        """Add a reduced element and its pairs; True when it is a
-        constant, i.e. <gens> is the unit ideal."""
+    def enter(reducer, sugar) -> bool:
+        """Add an element and its pairs; True when it is a constant,
+        i.e. <gens> is the unit ideal."""
         nonlocal counter
-        items = iter(terms.items())
-        lt, lc = next(items)
+        lt = reducer[0]
         if not any(lt):
             return True
-        tail = list(items)
-        if lc < 0:
-            lc = -lc
-            tail = [(m, -c) for m, c in tail]
         new = len(reducers)
-        reducers.append((lt, lc, tail))
+        reducers.append(reducer)
         sugars.append(sugar)
         deg_new = sum(lt)
-        for i in range(new):
+        # reducers[:len(basis)] are the known basis, which enters first
+        for i in range(len(basis) if new < len(basis) else 0, new):
             lt_i = reducers[i][0]
             if not any(map(min, lt_i, lt)):
                 continue  # coprime leading monomials: s-poly reduces to zero
@@ -278,9 +343,12 @@ def buchberger(gens, order: MonomialOrder):
             pending.add((i, new))
         return False
 
+    for g in basis:
+        if enter(_reducer(g, order), g.total_degree()):
+            return [Polynomial.one(vars)]
     for g in start:
         r = _reduce(_primitive(g), reducers, negkey)
-        if r and enter(r, g.total_degree()):
+        if r and enter(_as_reducer(r), g.total_degree()):
             return [Polynomial.one(vars)]
 
     while heap:
@@ -309,37 +377,19 @@ def buchberger(gens, order: MonomialOrder):
             else:
                 work.pop(t, None)
         r = _reduce(work, reducers, negkey)
-        if r and enter(r, sugar):
+        if r and enter(_as_reducer(r), sugar):
             return [Polynomial.one(vars)]
 
-    # minimalize: drop elements whose LT is divisible by another LT
-    lts = [r[0] for r in reducers]
-    minimal = [
-        i for i, lt in enumerate(lts)
-        if not any(
-            mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in range(len(lts))
-            if j != i
-        )
-    ]
-    minimal.sort(key=lambda i: key(lts[i]))
-    # auto-reduce tails against the other minimal elements
-    reduced = []
-    for i in minimal:
-        lt, lc, tail = reducers[i]
-        work = dict(tail)
-        work[lt] = lc
-        r = _reduce(work, [reducers[j] for j in minimal if j != i], negkey)
-        lc = r[lt]
-        reduced.append(Polynomial(vars, {m: Fraction(c, lc) for m, c in r.items()}))
-    return reduced
+    return _reduced_from_reducers(reducers, order, vars)
 
 
 class Ideal:
     """Ideal of the ambient polynomial ring, with a per-order GB cache.
 
     The cache is write-once per order: determinism of the reduced basis
-    makes concurrent recomputation benign.
+    makes concurrent recomputation benign.  The operations below return
+    ideals that carry the reduced bases they already hold (with_basis),
+    so callers do not recompute them; the generators stay what they were.
     """
 
     __slots__ = ("vars", "gens", "_gb")
@@ -352,10 +402,26 @@ class Ideal:
                 raise ValueError("generator over a different variable list")
         self._gb: dict = {}
 
+    @classmethod
+    def with_basis(cls, vars, gens, basis, order: MonomialOrder = DEGREVLEX) -> "Ideal":
+        """<gens> with `basis` stored as its reduced basis under `order`.
+
+        The caller vouches that `basis` is exactly buchberger(gens, order):
+        reduced, monic and sorted by ascending leading monomial.
+        """
+        ideal = cls(vars, gens)
+        ideal._gb[order] = tuple(basis)
+        return ideal
+
     def groebner(self, order: MonomialOrder = DEGREVLEX):
+        """Reduced Groebner basis under `order`, computed once per order.
+
+        Another order's basis starts from the stored degrevlex basis when
+        there is one: a better presentation than the raw generators.
+        """
         gb = self._gb.get(order)
         if gb is None:
-            gb = tuple(buchberger(self.gens, order))
+            gb = tuple(buchberger(self._gb.get(DEGREVLEX, self.gens), order))
             self._gb[order] = gb
         return gb
 
@@ -392,8 +458,12 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
+    """I + J; it keeps I's stored degrevlex basis when J ⊆ I."""
     if I.vars != J.vars:
         raise ValueError("ideal sum over mismatched variable lists")
+    gb = I._gb.get(DEGREVLEX)
+    if gb is not None and all(normal_form(g, gb).is_zero for g in J.gens):
+        return Ideal.with_basis(I.vars, I.gens + J.gens, gb)
     return Ideal(I.vars, I.gens + J.gens)
 
 
@@ -420,8 +490,24 @@ def _drop_first(f: Polynomial, vars) -> Polynomial:
     return Polynomial(vars, {m[1:]: c for m, c in f.terms.items()})
 
 
+def _tag_free(gb, vars) -> list:
+    """The elements of an elimination basis free of the tag variable.
+
+    The elimination order is degrevlex on the untagged monomials, so they
+    are the reduced degrevlex basis of the elimination ideal, in order.
+    """
+    return [_drop_first(g, vars) for g in gb if all(m[0] == 0 for m in g.terms)]
+
+
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the single tag variable t: eliminate t from t·I + (1-t)·J."""
+    """I ∩ J via the single tag variable t: eliminate t from t·I + (1-t)·J.
+
+    t·GB(I) is a Groebner basis in the elimination order and enters
+    buchberger as the known basis.  (1-t)·GB(J) is one too, but it enters as
+    ordinary generators: reduced on entry against t·GB(I), each (1-t)·h
+    with h ∈ I becomes h itself, and that early tag-free part saves more
+    reductions than skipping its own pairs would.
+    """
     if I.vars != J.vars:
         raise ValueError("ideal intersection over mismatched variable lists")
     if I.is_unit:
@@ -437,12 +523,12 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     # lift the reduced bases, not the raw generators: raw generator lists
     # (e.g. from ideal products) can be large and high-degree, and the tag
     # elimination is very sensitive to the input presentation
-    gens = [t * _lift(f, newvars) for f in I.groebner()]
+    gb_I = I.groebner()
+    gens = [t * _lift(f, newvars) for f in gb_I]
     gens += [(one - t) * _lift(g, newvars) for g in J.groebner()]
-    order = elimination_order((0,))
-    gb = buchberger(gens, order)
-    kept = [_drop_first(g, I.vars) for g in gb if all(m[0] == 0 for m in g.terms)]
-    return Ideal(I.vars, kept)
+    gb = buchberger(gens, elimination_order((0,)), known=len(gb_I))
+    kept = _tag_free(gb, I.vars)
+    return Ideal.with_basis(I.vars, kept, kept)
 
 
 def _standard_monomials(lts, nvars, cap=4096):
@@ -539,20 +625,28 @@ def _quotient_finite_dim(I: Ideal, f: Polynomial, order=DEGREVLEX):
 def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     """(I : f) = {g : f·g in I}, via (I ∩ <f>)/f.
 
-    When R/I is finite-dimensional the quotient comes from linear algebra
-    instead; the elimination route can blow up on exactly those inputs.
+    (I : c) = I for a nonzero constant c.  When f ∈ I the quotient is the
+    unit ideal, decided by one normal form against the degrevlex basis,
+    with no elimination.  When R/I is finite-dimensional the quotient comes
+    from linear algebra instead; the elimination route can blow up on
+    exactly those inputs.  Otherwise the degrevlex basis of I ∩ <f>,
+    divided by f, is a Groebner basis of (I : f), and the result carries
+    its reduced form.
     """
     if f.is_zero:
         raise ValueError("ideal quotient by the zero polynomial")
-    if I.is_unit:
+    if I.is_unit or f.is_constant:
         return I
+    if I.contains(f):
+        one = Polynomial.one(I.vars)
+        return Ideal.with_basis(I.vars, (one,), (one,))
     finite = _quotient_finite_dim(I, f)
     if finite is not None:
         return finite
     principal = Ideal(I.vars, (f,))
     inter = ideal_intersect(I, principal)
-    gens = [exact_divide(g, f) for g in inter.gens]
-    return Ideal(I.vars, gens)
+    gens = [exact_divide(g, f) for g in inter.groebner()]
+    return Ideal.with_basis(I.vars, gens, reduced_basis(gens))
 
 
 def ideal_quotient_ideal(I: Ideal, J: Ideal) -> Ideal:
@@ -607,23 +701,29 @@ def saturation_exponent(I: Ideal, T: Ideal, h: Polynomial) -> int:
 
 
 def saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^inf) via the inverted-variable trick; cross-check route."""
+    """(I : f^inf) via the inverted-variable trick: eliminate t from
+    I + <1 - t·f>.  The lifted GB(I) enters buchberger as the known basis."""
     if f.is_zero:
         raise ValueError("saturation by the zero polynomial")
     tag = _fresh_var(I.vars)
     newvars = (tag,) + I.vars
     t = Polynomial.variable(newvars, tag)
     one = Polynomial.one(newvars)
-    gens = [_lift(g, newvars) for g in I.groebner()]
+    gb_I = I.groebner()
+    gens = [_lift(g, newvars) for g in gb_I]
     gens.append(one - t * _lift(f, newvars))
-    order = elimination_order((0,))
-    gb = buchberger(gens, order)
-    kept = [_drop_first(g, I.vars) for g in gb if all(m[0] == 0 for m in g.terms)]
-    return Ideal(I.vars, kept)
+    gb = buchberger(gens, elimination_order((0,)), known=len(gb_I))
+    kept = _tag_free(gb, I.vars)
+    return Ideal.with_basis(I.vars, kept, kept)
 
 
 def eliminate(I: Ideal, drop) -> Ideal:
-    """I ∩ k[kept variables], returned in the same ambient ring."""
+    """I ∩ k[kept variables], returned in the same ambient ring.
+
+    The elimination order is degrevlex on monomials free of the dropped
+    variables, so the kept elements are the result's reduced degrevlex
+    basis.
+    """
     drop = set(drop)
     unknown = drop - set(I.vars)
     if unknown:
@@ -634,4 +734,4 @@ def eliminate(I: Ideal, drop) -> Ideal:
     order = elimination_order(idx)
     gb = I.groebner(order)
     kept = [g for g in gb if all(all(m[i] == 0 for i in idx) for m in g.terms)]
-    return Ideal(I.vars, kept)
+    return Ideal.with_basis(I.vars, kept, kept)

@@ -22,9 +22,10 @@ def time_budget(seconds: float, message: str):
     """Bound the computation inside the block to `seconds` of wall time.
 
     Polynomial multiplication checks the deadline once per term of its
-    left operand, and buchberger once per S-pair, so every layer above
-    them (parsing and powers included) is bounded without passing the
-    deadline down; past it, the check raises TimeoutError(message).
+    left operand, buchberger once per S-pair, and normal_form and
+    divide_single once per reduction step, so every layer above them
+    (parsing and powers included) is bounded without passing the deadline
+    down; past it, the check raises TimeoutError(message).
     """
     token = _DEADLINE.set((time.monotonic() + seconds, message))
     try:
@@ -329,12 +330,18 @@ class _Parser:
     term := factor ('*' factor)*
     factor := ('+'|'-')* base ('^' natural)?
     base := rational | identifier | '(' expr ')'
+
+    Parentheses may nest MAX_NESTING deep; deeper input is a parse error,
+    not a RecursionError.
     """
+
+    MAX_NESTING = 100
 
     def __init__(self, text: str, vars):
         self.text = text
         self.pos = 0
         self.vars = tuple(vars)
+        self.nesting = 0
 
     def error(self, message: str):
         raise PolyParseError(message, self.pos)
@@ -386,19 +393,16 @@ class _Parser:
         return f
 
     def factor(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "-":
+        negate = False
+        while self.peek() in ("-", "+"):
+            negate ^= self.text[self.pos] == "-"
             self.pos += 1
-            return -self.factor()
-        if ch == "+":
-            self.pos += 1
-            return self.factor()
         f = self.base()
         if self.peek() == "^":
             self.pos += 1
             n = self.natural()
             f = f ** n
-        return f
+        return -f if negate else f
 
     def natural(self) -> int:
         self.skip_ws()
@@ -421,9 +425,13 @@ class _Parser:
     def base(self) -> Polynomial:
         ch = self.peek()
         if ch == "(":
+            if self.nesting == self.MAX_NESTING:
+                self.error(f"parentheses nested deeper than {self.MAX_NESTING}")
+            self.nesting += 1
             self.pos += 1
             f = self.expr()
             self.expect(")")
+            self.nesting -= 1
             return f
         if ch.isdigit():
             num = self.integer()

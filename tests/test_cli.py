@@ -176,6 +176,31 @@ def test_time_budget_bounds_polynomial_powers(monkeypatch):
     assert elapsed < 1.5
 
 
+def test_time_budget_bounds_normal_forms(monkeypatch):
+    # the whole command takes about 4-5 s: parsing the power about 2 s,
+    # then reducing it modulo P (FractionQ's normal form) about 2 s; the
+    # budget is set well below the total so that it runs out on a fast
+    # machine too (test_groebner checks the normal form's own deadline)
+    monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "2")
+    start = time.monotonic()
+    code, out, err = run(["membership", "--ring", "R2", "--m", "1",
+                          "(a+b+c+d)^26"])
+    elapsed = time.monotonic() - start
+    assert code == 2
+    assert out == ""
+    assert "command exceeded the GQ_TIME_BUDGET_SECS limit of 2.0s" in err
+    assert elapsed < 3.5
+
+
+def test_deeply_nested_input_is_a_parse_error():
+    text = "(" * 2000 + "a" + ")" * 2000
+    code, out, err = run(["membership", "--ring", "R2", "--m", "1", text])
+    assert code == 2
+    assert out == ""
+    assert "position" in err
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite", "--ring", "R1", "--m", "1"])

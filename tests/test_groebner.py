@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from gabrielq.poly import DEGREVLEX, LEX, Polynomial, parse_poly
+from gabrielq.poly import DEGREVLEX, LEX, Polynomial, elimination_order, parse_poly, time_budget
 from gabrielq import groebner
 from gabrielq.groebner import (
     Ideal,
@@ -62,6 +62,16 @@ def test_divide_single():
     assert exact_divide(P("x^2*y"), P("x*y")) == P("x")
     with pytest.raises(ValueError):
         exact_divide(P("x + 1"), P("x"))
+
+
+def test_reductions_check_the_deadline():
+    # a deadline already past: the first reduction step raises
+    f = P("(x + y + 1)^6")
+    with time_budget(-1, "over budget"):
+        with pytest.raises(TimeoutError, match="over budget"):
+            normal_form(f, [P("x*y - 1"), P("y^2 - 1")])
+        with pytest.raises(TimeoutError, match="over budget"):
+            divide_single(f, P("x + y"))
 
 
 def test_buchberger_textbook():
@@ -218,3 +228,124 @@ def test_gb_generates_same_ideal(gens):
     assert ideal.equals(back)
     for g in gens:
         assert back.contains(g)
+
+
+# -- bases carried by ideal operations ---------------------------------
+
+ABCD = ("a", "b", "c", "d")
+R2_RELATIONS = ("b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")
+
+
+@st.composite
+def abcd_polys(draw, max_terms=3):
+    from fractions import Fraction
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        m = tuple(draw(st.integers(0, 2)) for _ in ABCD)
+        c = draw(st.integers(-3, 3))
+        if c:
+            terms[m] = terms.get(m, 0) + Fraction(c)
+    f = Polynomial(ABCD, {m: c for m, c in terms.items() if c})
+    return f if not f.is_zero else Polynomial.variable(ABCD, "a")
+
+
+@st.composite
+def abcd_ideals(draw):
+    """<random generators>, plus R2's relations in most draws."""
+    gens = draw(st.lists(abcd_polys(), min_size=1, max_size=2))
+    if draw(st.integers(0, 3)):
+        gens += [parse_poly(t, ABCD) for t in R2_RELATIONS]
+    return Ideal(ABCD, tuple(gens))
+
+
+def _fresh(ideal):
+    return tuple(buchberger(list(ideal.gens), DEGREVLEX))
+
+
+@settings(max_examples=30, deadline=None)
+@given(abcd_ideals(), abcd_ideals(), abcd_polys())
+def test_carried_bases_equal_fresh_buchberger(A, B, f):
+    for result in (
+        ideal_intersect(A, B),
+        saturate_rabinowitsch(A, f),
+        ideal_quotient(A, f),
+        ideal_quotient(A, f * A.gens[0]),  # f·g ∈ A: the unit shortcut
+        ideal_sum(A, B),
+        ideal_sum(A, Ideal(ABCD, A.groebner()[:2])),  # ⊆ A: A's basis kept
+    ):
+        assert result.groebner() == _fresh(result)
+
+
+def test_quotient_by_a_constant_keeps_the_ideal():
+    # (I : c) = I; the elimination route would intersect with the unit
+    # ideal <3>, get I's generators back and divide them, which are no basis
+    ideal = I("x^2*y + x*y", "x*y^2 - y")
+    q = ideal_quotient(ideal, P("3"))
+    assert q.groebner() == _fresh(q) == ideal.groebner()
+
+
+TXYZ = ("t",) + XYZ
+
+
+@st.composite
+def xyz_polys(draw, vars=XYZ):
+    """A small polynomial in x, y, z with no constant term, so that no
+    ideal of them is the unit ideal, lifted to `vars` (x, y, z last)."""
+    from fractions import Fraction
+    pad = (0,) * (len(vars) - len(XYZ))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        m = tuple(draw(st.integers(0, 2)) for _ in XYZ)
+        c = draw(st.integers(-5, 5))
+        if c and any(m):
+            terms[pad + m] = terms.get(pad + m, 0) + Fraction(c)
+    f = Polynomial(vars, {m: c for m, c in terms.items() if c})
+    return f if not f.is_zero else Polynomial.variable(vars, "x")
+
+
+@st.composite
+def known_basis_inputs(draw):
+    """Generators of which a leading run is a Groebner basis."""
+    order = draw(st.sampled_from([DEGREVLEX, LEX, elimination_order((0,))]))
+    basis = buchberger(draw(st.lists(xyz_polys(), min_size=1, max_size=3)), order)
+    # a Groebner basis need not be reduced: rescale it, add a multiple
+    basis = [g.scale(3) for g in basis] + [P("y", XYZ) * g for g in basis[:1]]
+    rest = [f + draw(st.integers(0, 1)) for f in draw(st.lists(xyz_polys(), max_size=3))]
+    return basis + rest, order, len(basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(known_basis_inputs())
+def test_known_basis_gives_the_same_basis(case):
+    gens, order, known = case
+    assert buchberger(gens, order, known=known) == buchberger(gens, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(xyz_polys(TXYZ), min_size=1, max_size=3),
+       st.lists(xyz_polys(TXYZ), min_size=1, max_size=3))
+def test_known_basis_of_an_intersection(A, B):
+    # the shape ideal_intersect hands to buchberger: t·GB(A), (1-t)·GB(B)
+    t = P("t", TXYZ)
+    gb_A, gb_B = buchberger(A, DEGREVLEX), buchberger(B, DEGREVLEX)
+    gens = [t * g for g in gb_A] + [(1 - t) * g for g in gb_B]
+    order = elimination_order((0,))
+    assert buchberger(gens, order, known=len(gb_A)) == buchberger(gens, order)
+
+
+def test_quotient_by_a_member_is_the_unit_ideal_without_elimination(monkeypatch):
+    orders = []
+    real = groebner.buchberger
+
+    def counting(gens, order, *args, **kwargs):
+        orders.append(order.kind)
+        return real(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    ideal = Ideal(ABCD, tuple(parse_poly(t, ABCD) for t in ("a*b",) + R2_RELATIONS))
+    ideal.groebner()
+    orders.clear()
+    q = ideal_quotient(ideal, parse_poly("a*b*c + b^2*c - a*b*d", ABCD))
+    assert q.is_unit
+    assert q.groebner() == (Polynomial.one(ABCD),)
+    assert "elim" not in orders and not orders

@@ -114,6 +114,15 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
+def test_parse_nesting_limit():
+    assert P("(" * 100 + "x" + ")" * 100) == P("x")
+    with pytest.raises(PolyParseError, match="nested deeper than 100"):
+        P("(" * 101 + "x" + ")" * 101)
+    # a long run of unary signs is read without recursion
+    assert P("-" * 5001 + "x^2") == P("-x^2")
+    assert P("-+-x") == P("x")
+
+
 def test_str_round_trip():
     for text in ("x^2*y - 3*y + 1/2", "-x + y^5", "0", "7", "x*y*z"):
         f = P(text)
