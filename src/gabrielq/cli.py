@@ -4,8 +4,10 @@ Exit codes: 0 = all checks pass, 1 = violations found, 2 = usage or
 contract error.  GQ_TIME_BUDGET_SECS (default 300) is one deadline for
 the whole command, checked once per term inside polynomial
 multiplication, once per S-pair inside every Groebner basis computation,
-once per reduction step of every normal form and division, and again
-before a suite report is written; exceeding it aborts with
+once per reduction step of the reduction kernel (groebner._reduce, which
+serves Groebner bases, membership tests and normal forms) and once per
+step of exact division, and again before a suite report is written;
+exceeding it aborts with
 exit code 2 rather than truncating a report, so reports stay
 byte-identical across runs.
 """

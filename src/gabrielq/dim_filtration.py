@@ -18,8 +18,7 @@ from .groebner import (
     ideal_intersect,
     ideal_quotient,
     ideal_sum,
-    saturate_rabinowitsch,
-    saturation_exponent,
+    saturate,
 )
 from .dimension import NEG_INF, krull_dim, krull_dim_with_set
 
@@ -71,20 +70,6 @@ def _leading_coeff_factors(I: Ideal, indep: tuple[int, ...]) -> list[Polynomial]
     return factors
 
 
-def _saturate_by_factors(I: Ideal, factors, h: Polynomial):
-    """(I : h^inf) for h = prod(factors), saturating one factor at a time.
-
-    (I : (f·g)^inf) = ((I : f^inf) : g^inf), and each single-factor
-    elimination stays small where the one-shot elimination by the dense
-    product h blows up.  The exponent s (least with h^s·T ⊆ I) comes from
-    saturation_exponent, as in saturate().
-    """
-    T = I
-    for f in factors:
-        T = saturate_rabinowitsch(T, f)
-    return T, saturation_exponent(I, T, h)
-
-
 def unmixed_split(I: Ideal) -> list[SplitPiece]:
     """Peel I into h-saturated pieces of recorded dimension.
 
@@ -104,7 +89,7 @@ def unmixed_split(I: Ideal) -> list[SplitPiece]:
         h = Polynomial.one(I.vars)
         for f in factors:
             h = h * f
-        T, s = _saturate_by_factors(current, factors, h)
+        T, s = saturate(current, *factors)
         if T.equals(current):
             # already h-saturated: unmixed over this independent set
             pieces.append(SplitPiece(current, d, names, h, s))
@@ -123,7 +108,9 @@ def unmixed_split(I: Ideal) -> list[SplitPiece]:
         raise InternalCheckError("splitting did not terminate")
 
     # prune pieces the peeling emitted redundantly (the residual chain can
-    # overshoot components already covered); later pieces go first
+    # overshoot components already covered); later pieces go first.  After
+    # a prune, `pruned` is the intersection of the remaining pieces.
+    pruned = None
     for i in range(len(pieces) - 1, -1, -1):
         if len(pieces) == 1:
             break
@@ -133,10 +120,13 @@ def unmixed_split(I: Ideal) -> list[SplitPiece]:
             meet = ideal_intersect(meet, T)
         if meet.equals(I):
             pieces.pop(i)
+            pruned = meet
 
-    meet = pieces[0].ideal
-    for p in pieces[1:]:
-        meet = ideal_intersect(meet, p.ideal)
+    meet = pruned
+    if meet is None:
+        meet = pieces[0].ideal
+        for p in pieces[1:]:
+            meet = ideal_intersect(meet, p.ideal)
     if not meet.equals(I):
         raise InternalCheckError("piece intersection differs from the input ideal")
     return pieces

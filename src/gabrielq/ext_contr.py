@@ -188,7 +188,8 @@ def check_lemma_3_2(ctx: RmContext, M: RmGenerators, samples: int,
     )
     dom = ctx.R
     ideals = sampling.sample_proper_ideals(rng, dom, samples)
-    wide = None
+    widened = ideals[: max(4, samples // 8)]
+    narrow_sat = []  # (I^e, sat_g(I)) of the widened ideals, for reuse below
     for idx, I in enumerate(ideals):
         ext = extend_ideal(I, M, ctx)
         Iec = contract_subq(ext.subq)
@@ -197,6 +198,8 @@ def check_lemma_3_2(ctx: RmContext, M: RmGenerators, samples: int,
             report.check("full-extension-torsion", in_g(I, ctx), ideal=str(I))
         # (b) sandwich I ⊆ I^ec ⊆ sat_g(I); equality when torsion-free
         sat = sat_g(I, ctx)
+        if idx < len(widened):
+            narrow_sat.append((ext.subq, sat))
         lower = Iec.contains_ideal(I)
         upper = sat.contains_ideal(Iec)
         report.check("sandwich", lower and upper, ideal=str(I),
@@ -221,7 +224,7 @@ def check_lemma_3_2(ctx: RmContext, M: RmGenerators, samples: int,
         # Galois laws on this sample
         report.check("unit-law", Iec.contains_ideal(I), ideal=str(I))
     # (c) extend(contract(k)) ⊆ k for sampled S-submodules k
-    for k in _sample_subq_ideals(ctx, M, rng, ideals[: max(4, samples // 8)]):
+    for k in _sample_subq_ideals(ctx, M, rng, widened):
         try:
             is_extended(k, M, ctx)
             report.check("counit-law", True, module=repr(k))
@@ -229,11 +232,9 @@ def check_lemma_3_2(ctx: RmContext, M: RmGenerators, samples: int,
             report.check("counit-law", False, module=repr(k), error=str(exc))
     # widening never shrinks extensions or breaks the sandwich
     wide = rm_generators(ctx, M.seed_ideal, max_rounds=M.rounds + 2)
-    for I in ideals[: max(4, samples // 8)]:
-        narrow = extend_ideal(I, M, ctx).subq
+    for I, (narrow, sat) in zip(widened, narrow_sat):
         wider = extend_ideal(I, wide, ctx).subq
         grown = wider.contains_subq(narrow)
-        sat = sat_g(I, ctx)
         still = sat.contains_ideal(contract_subq(wider))
         report.check("widening-stability", grown and still, ideal=str(I))
     report.note("two-sidedness", "all ideals are two-sided in the commutative "

@@ -13,6 +13,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .poly import (
+    _DEADLINE,
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
@@ -20,7 +21,6 @@ from .poly import (
     elimination_order,
     mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
 )
 
@@ -29,114 +29,77 @@ class InternalCheckError(RuntimeError):
     """A verified post-condition failed: algorithmic bug, not user error."""
 
 
-def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Canonical remainder of f under division by G (tail-reduced).
-
-    f - normal_form(f, G) lies in <G>, and no monomial of the result is
-    divisible by any leading monomial of G.
-    """
-    reducers = []
-    for g in G:
-        if g.is_zero:
-            continue
-        lt, lc = g.leading(order)
-        reducers.append((lt, lc, [(m, c) for m, c in g.terms.items() if m != lt]))
-    if not reducers:
-        return f
-    negkey = _negkey_cache(order)
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        m = min(work, key=negkey)  # the largest monomial
-        c = work.pop(m)
-        for lt, lc, tail in reducers:
-            if mono_divides(lt, m):
-                check_deadline()
-                shift = mono_div(m, lt)
-                factor = c / lc
-                for gm, gc in tail:
-                    t = mono_mul(gm, shift)
-                    s = work.get(t, 0) - factor * gc
-                    if s:
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(f.vars, remainder)
-
-
 def _neg_tuple(k):
     if isinstance(k, tuple):
         return tuple(_neg_tuple(e) for e in k)
     return -k
 
 
-_NEGKEY_CACHES: dict = {}
+_NEGKEYS: dict = {}
 
 
-def _negkey_cache(order: MonomialOrder):
+def _negkey(order: MonomialOrder):
     """Memoized negated order key: heapq is a min-heap, so the maximum
     monomial is the one whose elementwise-negated key is smallest."""
-    cache = _NEGKEY_CACHES.get(order)
-    if cache is None:
-        cache = _NEGKEY_CACHES[order] = {}
-    key = order.key
+    negkey = _NEGKEYS.get(order)
+    if negkey is None:
+        cache = {}
 
-    def negkey(m, _cache=cache, _key=key):
-        k = _cache.get(m)
-        if k is None:
-            k = _cache[m] = _neg_tuple(_key(m))
-        return k
+        def negkey(m, _cache=cache, _key=order.key):
+            k = _cache.get(m)
+            if k is None:
+                k = _cache[m] = _neg_tuple(_key(m))
+            return k
 
+        _NEGKEYS[order] = negkey
     return negkey
 
 
-def divide_single(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX):
-    """Division by one polynomial, returning (quotient, remainder)."""
+def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX):
+    """The quotient f/g when g divides f; a nonzero remainder is a ValueError.
+
+    Division returns a quotient rather than a remainder, so it is its own
+    loop beside _reduce; it checks the deadline once per division step.
+    """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     lt, lc = g.leading(order)
-    negkey = _negkey_cache(order)
+    tail = [(m, c) for m, c in g.terms.items() if m != lt]
+    negkey = _negkey(order)
     work = dict(f.terms)
     quotient: dict = {}
-    remainder: dict = {}
     while work:
         m = min(work, key=negkey)  # the largest monomial
-        c = work.pop(m)
-        if mono_divides(lt, m):
-            check_deadline()
-            shift = mono_div(m, lt)
-            factor = c / lc
-            quotient[shift] = quotient.get(shift, 0) + factor
-            for gm, gc in g.terms.items():
-                if gm == lt:
-                    continue
-                t = mono_mul(gm, shift)
-                s = work.get(t, 0) - factor * gc
-                if s:
-                    work[t] = s
-                else:
-                    work.pop(t, None)
-        else:
-            remainder[m] = c
-    return Polynomial(f.vars, quotient), Polynomial(f.vars, remainder)
+        if not mono_divides(lt, m):
+            raise ValueError("exact division with nonzero remainder")
+        check_deadline()
+        shift = mono_div(m, lt)
+        factor = work.pop(m) / lc
+        quotient[shift] = factor
+        for gm, gc in tail:
+            t = mono_mul(gm, shift)
+            s = work.get(t, 0) - factor * gc
+            if s:
+                work[t] = s
+            else:
+                work.pop(t, None)
+    return Polynomial(f.vars, quotient)
 
 
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX):
-    q, r = divide_single(f, g, order)
-    if not r.is_zero:
-        raise ValueError("exact division with nonzero remainder")
-    return q
-
-
-def _content_free(terms: dict) -> dict:
-    """Integer term map divided by the gcd of its coefficients."""
+def _content_free(terms: dict) -> tuple:
+    """(terms / content, content) for an integer term map, where content is
+    the gcd of its coefficients (1 for the empty map)."""
     content = gcd(*terms.values())
     if content > 1:
-        return {m: c // content for m, c in terms.items()}
-    return terms
+        return {m: c // content for m, c in terms.items()}, content
+    return terms, 1
+
+
+def _integer(f: Polynomial) -> tuple:
+    """(terms, den): f·den as a term map monomial -> int, where den is the
+    lcm of the coefficient denominators."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
 
 def _primitive(f: Polynomial) -> dict:
@@ -145,40 +108,30 @@ def _primitive(f: Polynomial) -> dict:
     Buchberger works on integer coefficients with content 1 throughout:
     rational coefficients are what make it crawl on dense inputs.
     """
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return _content_free(
-        {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
-    )
+    return _content_free(_integer(f)[0])[0]
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, cf = f.leading(order)
-    lg, cg = g.leading(order)
-    lcm = mono_lcm(lf, lg)
-    mf = mono_div(lcm, lf)
-    mg = mono_div(lcm, lg)
-    vars = f.vars
-    a = Polynomial(vars, {mf: Fraction(1) / cf})
-    b = Polynomial(vars, {mg: Fraction(1) / cg})
-    return a * f - b * g
-
-
-def _reduce(work: dict, reducers, negkey) -> dict:
+def _reduce(work: dict, reducers, negkey) -> tuple:
     """Integer pseudo-remainder of `work` by `reducers`, with content 1.
 
-    `work` maps monomials to ints and is consumed; each reducer is an
-    integer triple (lt, lc, tail) with lc > 0.  The result is a positive
-    multiple of the remainder over Q, which is all Buchberger needs: when
-    lc does not divide the working coefficient c, everything is first
-    multiplied by lc/gcd(c, lc), so no Fraction is ever built.  The working
-    polynomial keeps its monomials in a lazy max-heap (stale entries
-    skipped on pop); the remainder comes out in descending monomial order,
-    so its first key is its leading monomial.
+    The one reduction loop: Buchberger, membership tests and normal forms
+    all run on it.  `work` maps monomials to ints and is consumed; each
+    reducer is an integer triple (lt, lc, tail) with lc > 0.  Returns
+    (r, mults, shrinks): r is the remainder over Q times mults/shrinks, a
+    positive scale.  When lc does not divide the working coefficient c,
+    everything is first multiplied by lc/gcd(c, lc), so no Fraction is ever
+    built; mults is the product of these multipliers, and shrinks the
+    product of the contents divided out.  The working polynomial keeps its
+    monomials in a lazy max-heap (stale entries skipped on pop); the
+    remainder comes out in descending monomial order, so its first key is
+    its leading monomial.  The deadline is checked once per reduction step.
     """
+    deadline = _DEADLINE.get()
     heap = [(negkey(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     steps = 0
+    mults = shrinks = 1
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m, 0)
@@ -186,10 +139,13 @@ def _reduce(work: dict, reducers, negkey) -> dict:
             continue
         for lt, lc, tail in reducers:
             if all(map(le, lt, m)):
+                if deadline is not None:
+                    check_deadline()
                 shift = tuple(map(sub, m, lt))
                 d = gcd(c, lc)
                 if d != lc:
                     mult = lc // d
+                    mults *= mult
                     work = {k: v * mult for k, v in work.items()}
                     remainder = {k: v * mult for k, v in remainder.items()}
                 q = c // d
@@ -207,12 +163,14 @@ def _reduce(work: dict, reducers, negkey) -> dict:
                 if steps % 8 == 0 and work:
                     shrink = gcd(*work.values(), *remainder.values())
                     if shrink > 1:
+                        shrinks *= shrink
                         work = {k: v // shrink for k, v in work.items()}
                         remainder = {k: v // shrink for k, v in remainder.items()}
                 break
         else:
             remainder[m] = c
-    return _content_free(remainder)
+    remainder, content = _content_free(remainder)
+    return remainder, mults, shrinks * content
 
 
 def _as_reducer(terms: dict) -> tuple:
@@ -243,7 +201,7 @@ def _reduced_from_reducers(reducers, order: MonomialOrder, vars) -> list:
     sorted by ascending leading monomial, hence canonical.
     """
     key = order.key
-    negkey = _negkey_cache(order)
+    negkey = _negkey(order)
     lts = [r[0] for r in reducers]
     minimal = [
         i for i, lt in enumerate(lts)
@@ -259,7 +217,7 @@ def _reduced_from_reducers(reducers, order: MonomialOrder, vars) -> list:
         lt, lc, tail = reducers[i]
         work = dict(tail)
         work[lt] = lc
-        r = _reduce(work, [reducers[j] for j in minimal if j != i], negkey)
+        r = _reduce(work, [reducers[j] for j in minimal if j != i], negkey)[0]
         lc = r[lt]
         reduced.append(Polynomial(vars, {m: Fraction(c, lc) for m, c in r.items()}))
     return reduced
@@ -303,7 +261,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
     monomial (hence deterministic); see _reduced_from_reducers.
     """
     key = order.key
-    negkey = _negkey_cache(order)
+    negkey = _negkey(order)
     gens = list(gens)
     basis = [g for g in gens[:known] if not g.is_zero]
     start = sorted(
@@ -347,7 +305,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
         if enter(_reducer(g, order), g.total_degree()):
             return [Polynomial.one(vars)]
     for g in start:
-        r = _reduce(_primitive(g), reducers, negkey)
+        r = _reduce(_primitive(g), reducers, negkey)[0]
         if r and enter(_as_reducer(r), g.total_degree()):
             return [Polynomial.one(vars)]
 
@@ -376,7 +334,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
                 work[t] = s
             else:
                 work.pop(t, None)
-        r = _reduce(work, reducers, negkey)
+        r = _reduce(work, reducers, negkey)[0]
         if r and enter(_as_reducer(r), sugar):
             return [Polynomial.one(vars)]
 
@@ -387,12 +345,14 @@ class Ideal:
     """Ideal of the ambient polynomial ring, with a per-order GB cache.
 
     The cache is write-once per order: determinism of the reduced basis
-    makes concurrent recomputation benign.  The operations below return
+    makes concurrent recomputation benign.  Beside each basis the ideal
+    keeps its integer reducers for _reduce, built on the first membership
+    test or normal form under that order.  The operations below return
     ideals that carry the reduced bases they already hold (with_basis),
     so callers do not recompute them; the generators stay what they were.
     """
 
-    __slots__ = ("vars", "gens", "_gb")
+    __slots__ = ("vars", "gens", "_gb", "_red")
 
     def __init__(self, vars, gens):
         self.vars = tuple(vars)
@@ -401,6 +361,7 @@ class Ideal:
             if g.vars != self.vars:
                 raise ValueError("generator over a different variable list")
         self._gb: dict = {}
+        self._red: dict = {}
 
     @classmethod
     def with_basis(cls, vars, gens, basis, order: MonomialOrder = DEGREVLEX) -> "Ideal":
@@ -425,11 +386,20 @@ class Ideal:
             self._gb[order] = gb
         return gb
 
+    def _reducers(self, order: MonomialOrder = DEGREVLEX) -> list:
+        """The integer reducers (lt, lc, tail) of groebner(order), in basis
+        order, built once per order."""
+        red = self._red.get(order)
+        if red is None:
+            red = self._red[order] = [_reducer(g, order) for g in self.groebner(order)]
+        return red
+
     def contains(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> bool:
-        return normal_form(f, self.groebner(order), order).is_zero
+        """f ∈ I: a zero test of _reduce against the basis's reducers."""
+        return not _reduce(_integer(f)[0], self._reducers(order), _negkey(order))[0]
 
     def reduce(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-        return normal_form(f, self.groebner(order), order)
+        return normal_form(f, self, order)
 
     @property
     def is_zero(self) -> bool:
@@ -453,8 +423,19 @@ class Ideal:
         return f"Ideal(<{inner}>)"
 
 
-def ideal_member(f: Polynomial, I: Ideal) -> bool:
-    return I.contains(f)
+def normal_form(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """Canonical remainder of f modulo I: division by I's reduced basis.
+
+    f - normal_form(f, I) lies in I, and no monomial of the result is
+    divisible by a leading monomial of I under `order`.  _reduce gives an
+    integer multiple of the remainder and the scale it applied, so the
+    rational remainder is exact.
+    """
+    terms, den = _integer(f)
+    r, mults, shrinks = _reduce(terms, I._reducers(order), _negkey(order))
+    # r = (mults/shrinks)·remainder(f·den)
+    den *= mults
+    return Polynomial(f.vars, {m: Fraction(c * shrinks, den) for m, c in r.items()})
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -462,7 +443,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     if I.vars != J.vars:
         raise ValueError("ideal sum over mismatched variable lists")
     gb = I._gb.get(DEGREVLEX)
-    if gb is not None and all(normal_form(g, gb).is_zero for g in J.gens):
+    if gb is not None and all(I.contains(g) for g in J.gens):
         return Ideal.with_basis(I.vars, I.gens + J.gens, gb)
     return Ideal(I.vars, I.gens + J.gens)
 
@@ -610,7 +591,7 @@ def _quotient_finite_dim(I: Ideal, f: Polynomial, order=DEGREVLEX):
     n = len(B)
     cols = []
     for m in B:
-        r = normal_form(f * Polynomial(I.vars, {m: Fraction(1)}), G, order)
+        r = normal_form(f * Polynomial(I.vars, {m: Fraction(1)}), I, order)
         col = [Fraction(0)] * n
         for mm, c in r.terms.items():
             col[index[mm]] = c
@@ -626,7 +607,7 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     """(I : f) = {g : f·g in I}, via (I ∩ <f>)/f.
 
     (I : c) = I for a nonzero constant c.  When f ∈ I the quotient is the
-    unit ideal, decided by one normal form against the degrevlex basis,
+    unit ideal, decided by one membership test against the degrevlex basis,
     with no elimination.  When R/I is finite-dimensional the quotient comes
     from linear algebra instead; the elimination route can blow up on
     exactly those inputs.  Otherwise the degrevlex basis of I ∩ <f>,
@@ -662,21 +643,26 @@ def ideal_quotient_ideal(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def saturate(I: Ideal, f: Polynomial):
-    """(I : f^inf); returns (stable ideal, exponent s).
+def saturate(I: Ideal, *factors: Polynomial):
+    """(I : h^inf) for h the product of `factors`; returns (stable ideal, s).
 
-    s is the least exponent with (I : f^s) = (I : f^(s+1)).  The stable
-    ideal comes from one elimination (the inverted-variable trick); the
-    exponent from membership tests f^s·T ⊆ I (saturation_exponent).
-    Iterating ideal_quotient instead would intersect against a principal
-    ideal once per step, which is far more expensive for dense f.
+    s is the least exponent with (I : h^s) = (I : h^(s+1)).  The stable
+    ideal comes from one elimination per factor (the inverted-variable
+    trick): (I : (f·g)^inf) = ((I : f^inf) : g^inf), and each single-factor
+    elimination stays small where the one-shot elimination by a dense
+    product blows up.  The exponent comes from membership tests h^s·T ⊆ I
+    (saturation_exponent).  Iterating ideal_quotient instead would
+    intersect against a principal ideal once per step, which is far more
+    expensive for dense h.
     """
-    if f.is_zero:
+    if not factors or any(f.is_zero for f in factors):
         raise ValueError("saturation by the zero polynomial")
     if I.is_unit:
         return I, 0
-    T = saturate_rabinowitsch(I, f)
-    return T, saturation_exponent(I, T, f)
+    T = I
+    for f in factors:
+        T = saturate_rabinowitsch(T, f)
+    return T, saturation_exponent(I, T, math.prod(factors[1:], start=factors[0]))
 
 
 _MAX_SATURATION_EXPONENT = 64
@@ -692,7 +678,7 @@ def saturation_exponent(I: Ideal, T: Ideal, h: Polynomial) -> int:
     """
     power = Polynomial.one(I.vars)
     s = 0
-    while not all(ideal_member(power * g, I) for g in T.groebner()):
+    while not all(I.contains(power * g) for g in T.groebner()):
         power = power * h
         s += 1
         if s > _MAX_SATURATION_EXPONENT:

@@ -22,10 +22,11 @@ def time_budget(seconds: float, message: str):
     """Bound the computation inside the block to `seconds` of wall time.
 
     Polynomial multiplication checks the deadline once per term of its
-    left operand, buchberger once per S-pair, and normal_form and
-    divide_single once per reduction step, so every layer above them
-    (parsing and powers included) is bounded without passing the deadline
-    down; past it, the check raises TimeoutError(message).
+    left operand, buchberger once per S-pair, the reduction kernel
+    (groebner._reduce) once per reduction step and exact division once per
+    division step, so every layer above them (parsing and powers included)
+    is bounded without passing the deadline down; past it, the check
+    raises TimeoutError(message).
     """
     token = _DEADLINE.set((time.monotonic() + seconds, message))
     try:

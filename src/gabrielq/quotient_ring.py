@@ -59,25 +59,6 @@ def in_Rm(q: FractionQ, ctx: RmContext) -> MembershipCertificate:
     return MembershipCertificate(q, J, d, d < ctx.m)
 
 
-def in_Rc(q: FractionQ, ctx: RmContext) -> bool:
-    """Membership in the classical quotient ring at c_m (tc-torsion route).
-
-    Fast path: c_m consists of the units of R, so R_c = R.  Bounded
-    witness route: search for c in c_m with qc in R; the routes must agree.
-    """
-    fast = q.in_R()
-    witness = fast  # c = 1 is a witness exactly when q is in R
-    if not witness:
-        # nonzero rational constants exhaust c_m for 0 <= m < n
-        witness = any(
-            (q * FractionQ(q.dom, Polynomial.constant(q.dom.vars, k), Polynomial.one(q.dom.vars))).in_R()
-            for k in (2, 3, 5)
-        )
-    if fast != witness:
-        raise InternalCheckError("in_Rc routes disagree")
-    return fast
-
-
 def rm_add(q1: FractionQ, q2: FractionQ, ctx: RmContext) -> FractionQ:
     return _closed_op(q1, q2, ctx, "add")
 

@@ -177,14 +177,14 @@ def test_time_budget_bounds_polynomial_powers(monkeypatch):
 
 
 def test_time_budget_bounds_normal_forms(monkeypatch):
-    # the whole command takes about 4-5 s: parsing the power about 2 s,
-    # then reducing it modulo P (FractionQ's normal form) about 2 s; the
-    # budget is set well below the total so that it runs out on a fast
-    # machine too (test_groebner checks the normal form's own deadline)
+    # parsing c^2000000 is instant, and reducing it modulo P (FractionQ's
+    # normal form) takes about two million steps of the reduction kernel,
+    # about 12 s, so the budget runs out inside the kernel on a fast
+    # machine too (test_groebner checks the kernel's own deadline)
     monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "2")
     start = time.monotonic()
     code, out, err = run(["membership", "--ring", "R2", "--m", "1",
-                          "(a+b+c+d)^26"])
+                          "c^2000000"])
     elapsed = time.monotonic() - start
     assert code == 2
     assert out == ""

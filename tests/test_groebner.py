@@ -2,31 +2,41 @@
 
 The oracle values here were computed by hand (the standard textbook
 examples) and frozen; the GB self-checks (every s-polynomial of the
-output reduces to zero) re-derive correctness independently.
+output reduces to zero) re-derive correctness independently, with the
+Fraction division below, which shares no code with the integer kernel.
 """
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from gabrielq.poly import DEGREVLEX, LEX, Polynomial, elimination_order, parse_poly, time_budget
+from gabrielq.poly import (
+    DEGREVLEX,
+    LEX,
+    Polynomial,
+    elimination_order,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_poly,
+    time_budget,
+)
 from gabrielq import groebner
 from gabrielq.groebner import (
     Ideal,
     InternalCheckError,
     buchberger,
-    divide_single,
     eliminate,
     exact_divide,
     ideal_intersect,
-    ideal_member,
     ideal_product,
     ideal_quotient,
     ideal_quotient_ideal,
     ideal_sum,
     normal_form,
-    s_polynomial,
     saturate,
     saturate_rabinowitsch,
 )
@@ -43,35 +53,82 @@ def I(*texts, vars=XY):
     return Ideal(vars, tuple(P(t, vars) for t in texts))
 
 
+# -- an independent reference: division over the rationals -------------
+
+def reference_remainder(f, G, order):
+    """Remainder of f under division by the list G, over the Fractions.
+
+    The largest remaining monomial is reduced by the first element of G
+    whose leading monomial divides it, and kept in the remainder when none
+    does.  Quadratic, and sharing no code with the integer kernel.
+    """
+    reducers = [g.leading(order) + (g,) for g in G if not g.is_zero]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lt, lc, g in reducers:
+            if mono_divides(lt, m):
+                shift, factor = mono_div(m, lt), c / lc
+                for gm, gc in g.terms.items():
+                    if gm != lt:
+                        t = mono_mul(gm, shift)
+                        work[t] = work.get(t, 0) - factor * gc
+                        if not work[t]:
+                            del work[t]
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.vars, remainder)
+
+
+def s_polynomial(f, g, order):
+    lf, cf = f.leading(order)
+    lg, cg = g.leading(order)
+    lcm = mono_lcm(lf, lg)
+    a = Polynomial(f.vars, {mono_div(lcm, lf): Fraction(1) / cf})
+    b = Polynomial(f.vars, {mono_div(lcm, lg): Fraction(1) / cg})
+    return a * f - b * g
+
+
 def test_normal_form_division_invariant():
     f = P("x^3*y + x*y^2 + y")
-    G = [P("x*y - 1"), P("y^2 - 1")]
-    r = normal_form(f, G, DEGREVLEX)
-    assert ideal_member(f - r, Ideal(XY, tuple(G)))
-    # no monomial of r is divisible by a leading monomial of G
-    for m in r.terms:
-        assert m[0] * m[1] == 0 or m[1] < 1
+    ideal = I("x*y - 1", "y^2 - 1")
+    r = normal_form(f, ideal, DEGREVLEX)
+    assert ideal.contains(f - r)
+    # no monomial of r is divisible by a leading monomial of the basis
+    lts = [g.leading(DEGREVLEX)[0] for g in ideal.groebner()]
+    assert not any(mono_divides(lt, m) for lt in lts for m in r.terms)
+    assert r == reference_remainder(f, ideal.groebner(), DEGREVLEX)
 
 
-def test_divide_single():
-    f = P("x^2*y + x + 1")
-    g = P("x")
-    q, r = divide_single(f, g)
-    assert q * g + r == f
-    assert r == P("1")
+def test_exact_divide():
+    assert exact_divide(P("x^2*y + x*y^2 - x*y"), P("x + y - 1")) == P("x*y")
     assert exact_divide(P("x^2*y"), P("x*y")) == P("x")
     with pytest.raises(ValueError):
         exact_divide(P("x + 1"), P("x"))
+    with pytest.raises(ValueError):
+        exact_divide(P("x^2*y + 1"), P("x"))
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(P("x"), P("0"))
 
 
 def test_reductions_check_the_deadline():
-    # a deadline already past: the first reduction step raises
+    # a deadline already past: the first reduction step raises, in every
+    # caller of the kernel and in exact division
     f = P("(x + y + 1)^6")
+    ideal = I("x*y - 1", "y^2 - 1")
+    ideal.groebner()
     with time_budget(-1, "over budget"):
-        with pytest.raises(TimeoutError, match="over budget"):
-            normal_form(f, [P("x*y - 1"), P("y^2 - 1")])
-        with pytest.raises(TimeoutError, match="over budget"):
-            divide_single(f, P("x + y"))
+        for reduction in (
+            lambda: normal_form(f, ideal),
+            lambda: ideal.reduce(f),
+            lambda: ideal.contains(f),
+            lambda: exact_divide(f, P("x + y")),
+        ):
+            with pytest.raises(TimeoutError, match="over budget"):
+                reduction()
 
 
 def test_buchberger_textbook():
@@ -97,7 +154,7 @@ def _spoly_check(gb, order):
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             s = s_polynomial(gb[i], gb[j], order)
-            assert normal_form(s, gb, order).is_zero
+            assert reference_remainder(s, gb, order).is_zero
 
 
 def test_gb_self_check_spolys():
@@ -198,7 +255,6 @@ def test_elimination_oracle():
 
 @st.composite
 def small_polys(draw):
-    from fractions import Fraction
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         m = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
@@ -237,25 +293,40 @@ R2_RELATIONS = ("b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")
 
 
 @st.composite
-def abcd_polys(draw, max_terms=3):
-    from fractions import Fraction
+def abcd_polys(draw, max_terms=3, rational=False):
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
         m = tuple(draw(st.integers(0, 2)) for _ in ABCD)
         c = draw(st.integers(-3, 3))
         if c:
-            terms[m] = terms.get(m, 0) + Fraction(c)
+            c = Fraction(c, draw(st.integers(1, 6)) if rational else 1)
+            terms[m] = terms.get(m, 0) + c
     f = Polynomial(ABCD, {m: c for m, c in terms.items() if c})
     return f if not f.is_zero else Polynomial.variable(ABCD, "a")
 
 
 @st.composite
-def abcd_ideals(draw):
+def abcd_ideals(draw, rational=False):
     """<random generators>, plus R2's relations in most draws."""
-    gens = draw(st.lists(abcd_polys(), min_size=1, max_size=2))
+    gens = draw(st.lists(abcd_polys(rational=rational), min_size=1, max_size=2))
     if draw(st.integers(0, 3)):
         gens += [parse_poly(t, ABCD) for t in R2_RELATIONS]
     return Ideal(ABCD, tuple(gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(abcd_ideals(rational=True),
+       st.lists(abcd_polys(max_terms=4, rational=True), min_size=1, max_size=3),
+       st.sampled_from([DEGREVLEX, LEX, elimination_order((0,))]))
+def test_kernel_normal_forms_agree_with_the_reference(ideal, fs, order):
+    gb = ideal.groebner(order)
+    # members too: f·g and f·g + h for a generator g
+    fs = fs + [fs[0] * ideal.gens[-1], fs[-1] * ideal.gens[0] + fs[0]]
+    for f in fs:
+        expected = reference_remainder(f, gb, order)
+        assert normal_form(f, ideal, order) == expected
+        assert ideal.reduce(f, order) == expected
+        assert ideal.contains(f, order) == expected.is_zero
 
 
 def _fresh(ideal):
@@ -291,7 +362,6 @@ TXYZ = ("t",) + XYZ
 def xyz_polys(draw, vars=XYZ):
     """A small polynomial in x, y, z with no constant term, so that no
     ideal of them is the unit ideal, lifted to `vars` (x, y, z last)."""
-    from fractions import Fraction
     pad = (0,) * (len(vars) - len(XYZ))
     terms = {}
     for _ in range(draw(st.integers(1, 3))):

@@ -10,7 +10,6 @@ from gabrielq.quotient_ring import (
     check_thm_2_4,
     check_thm_2_5,
     conductor,
-    in_Rc,
     in_Rm,
     is_unit_Rm,
     rm_add,
@@ -64,14 +63,6 @@ def test_certificate_recheck(ctx2):
 
 def test_conductor_of_zero_is_unit(ctx1):
     assert conductor(ctx1.R.fraction("0", "x"), ctx1).is_unit
-
-
-def test_in_Rc_matches_in_R(ctx1, ctx2):
-    for ctx in (ctx1, ctx2):
-        dom = ctx.R
-        assert in_Rc(dom.fraction("1"), ctx)
-        assert in_Rc(dom.fraction(f"{dom.vars[0]}^2", dom.vars[0]), ctx)
-        assert not in_Rc(dom.fraction("1", dom.vars[0]), ctx)
 
 
 def test_rm_arithmetic_closure(ctx2):
