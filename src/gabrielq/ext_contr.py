@@ -96,7 +96,6 @@ def rm_generators(ctx: RmContext, seed_ideal: Ideal | None = None,
 class ExtendResult:
     subq: SubQ
     widened: bool
-    passes: int
 
 
 def _module_product(I: Ideal, M: SubQ) -> SubQ:
@@ -104,25 +103,16 @@ def _module_product(I: Ideal, M: SubQ) -> SubQ:
 
 
 def extend_ideal(I: Ideal, M: RmGenerators, ctx: RmContext) -> ExtendResult:
-    """I^e = I·S, approximated as I·M with an S-closure pass.
+    """I^e = I·S, approximated as I·M closed under M-multiplication.
 
-    One extra multiplication by M checks I·M·M ⊆ I·M; failures widen the
-    module and are reported via the `widened` flag.
+    close_subq checks I·M·M ⊆ I·M; failures widen the module and are
+    reported via the `widened` flag.
     """
-    dom = ctx.R
-    current = _module_product(I, M.module)
-    widened = False
-    for passes in range(1, 5):
-        bigger = SubQ(
-            dom,
-            current.den * M.module.den,
-            ideal_product(current.num, M.module.num),
-        ).trimmed()
-        if current.contains_subq(bigger):
-            return ExtendResult(current, widened, passes)
-        current = current.union(bigger).trimmed()
-        widened = True
-    raise InternalCheckError("extension failed to close under M-multiplication")
+    product = _module_product(I, M.module)
+    closed, ok = close_subq(product, M, ctx)
+    if not ok:
+        raise InternalCheckError("extension failed to close under M-multiplication")
+    return ExtendResult(closed, closed is not product)
 
 
 def contract_subq(B: SubQ) -> Ideal:

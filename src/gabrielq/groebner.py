@@ -21,38 +21,13 @@ from .poly import (
     elimination_order,
     mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
 )
 
 
 class InternalCheckError(RuntimeError):
     """A verified post-condition failed: algorithmic bug, not user error."""
-
-
-def _neg_tuple(k):
-    if isinstance(k, tuple):
-        return tuple(_neg_tuple(e) for e in k)
-    return -k
-
-
-_NEGKEYS: dict = {}
-
-
-def _negkey(order: MonomialOrder):
-    """Memoized negated order key: heapq is a min-heap, so the maximum
-    monomial is the one whose elementwise-negated key is smallest."""
-    negkey = _NEGKEYS.get(order)
-    if negkey is None:
-        cache = {}
-
-        def negkey(m, _cache=cache, _key=order.key):
-            k = _cache.get(m)
-            if k is None:
-                k = _cache[m] = _neg_tuple(_key(m))
-            return k
-
-        _NEGKEYS[order] = negkey
-    return negkey
 
 
 def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX):
@@ -65,11 +40,10 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
         raise ZeroDivisionError("division by the zero polynomial")
     lt, lc = g.leading(order)
     tail = [(m, c) for m, c in g.terms.items() if m != lt]
-    negkey = _negkey(order)
     work = dict(f.terms)
     quotient: dict = {}
     while work:
-        m = min(work, key=negkey)  # the largest monomial
+        m = min(work, key=order.desc)  # the largest monomial
         if not mono_divides(lt, m):
             raise ValueError("exact division with nonzero remainder")
         check_deadline()
@@ -111,7 +85,7 @@ def _primitive(f: Polynomial) -> dict:
     return _content_free(_integer(f)[0])[0]
 
 
-def _reduce(work: dict, reducers, negkey) -> tuple:
+def _reduce(work: dict, reducers, desc) -> tuple:
     """Integer pseudo-remainder of `work` by `reducers`, with content 1.
 
     The one reduction loop: Buchberger, membership tests and normal forms
@@ -122,12 +96,13 @@ def _reduce(work: dict, reducers, negkey) -> tuple:
     everything is first multiplied by lc/gcd(c, lc), so no Fraction is ever
     built; mults is the product of these multipliers, and shrinks the
     product of the contents divided out.  The working polynomial keeps its
-    monomials in a lazy max-heap (stale entries skipped on pop); the
-    remainder comes out in descending monomial order, so its first key is
-    its leading monomial.  The deadline is checked once per reduction step.
+    monomials in a lazy max-heap keyed by `desc`, an order's
+    MonomialOrder.desc (stale entries skipped on pop); the remainder comes
+    out in descending monomial order, so its first key is its leading
+    monomial.  The deadline is checked once per reduction step.
     """
     deadline = _DEADLINE.get()
-    heap = [(negkey(m), m) for m in work]
+    heap = [(desc(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     steps = 0
@@ -156,7 +131,7 @@ def _reduce(work: dict, reducers, negkey) -> tuple:
                     if s:
                         work[t] = s
                         if not old:
-                            heapq.heappush(heap, (negkey(t), t))
+                            heapq.heappush(heap, (desc(t), t))
                     else:
                         del work[t]
                 steps += 1
@@ -200,8 +175,6 @@ def _reduced_from_reducers(reducers, order: MonomialOrder, vars) -> list:
     reduced by the other remaining elements.  The output is monic and
     sorted by ascending leading monomial, hence canonical.
     """
-    key = order.key
-    negkey = _negkey(order)
     lts = [r[0] for r in reducers]
     minimal = [
         i for i, lt in enumerate(lts)
@@ -211,13 +184,13 @@ def _reduced_from_reducers(reducers, order: MonomialOrder, vars) -> list:
             if j != i
         )
     ]
-    minimal.sort(key=lambda i: key(lts[i]))
+    minimal.sort(key=lambda i: order.key(lts[i]))
     reduced = []
     for i in minimal:
         lt, lc, tail = reducers[i]
         work = dict(tail)
         work[lt] = lc
-        r = _reduce(work, [reducers[j] for j in minimal if j != i], negkey)[0]
+        r = _reduce(work, [reducers[j] for j in minimal if j != i], order.desc)[0]
         lc = r[lt]
         reduced.append(Polynomial(vars, {m: Fraction(c, lc) for m, c in r.items()}))
     return reduced
@@ -261,7 +234,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
     monomial (hence deterministic); see _reduced_from_reducers.
     """
     key = order.key
-    negkey = _negkey(order)
+    desc = order.desc
     gens = list(gens)
     basis = [g for g in gens[:known] if not g.is_zero]
     start = sorted(
@@ -293,7 +266,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
             lt_i = reducers[i][0]
             if not any(map(min, lt_i, lt)):
                 continue  # coprime leading monomials: s-poly reduces to zero
-            lcm = tuple(map(max, lt_i, lt))
+            lcm = mono_lcm(lt_i, lt)
             deg = sum(lcm)
             s = max(sugars[i] + deg - sum(lt_i), sugar + deg - deg_new)
             counter += 1
@@ -305,7 +278,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
         if enter(_reducer(g, order), g.total_degree()):
             return [Polynomial.one(vars)]
     for g in start:
-        r = _reduce(_primitive(g), reducers, negkey)[0]
+        r = _reduce(_primitive(g), reducers, desc)[0]
         if r and enter(_as_reducer(r), g.total_degree()):
             return [Polynomial.one(vars)]
 
@@ -334,7 +307,7 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
                 work[t] = s
             else:
                 work.pop(t, None)
-        r = _reduce(work, reducers, negkey)[0]
+        r = _reduce(work, reducers, desc)[0]
         if r and enter(_as_reducer(r), sugar):
             return [Polynomial.one(vars)]
 
@@ -396,7 +369,7 @@ class Ideal:
 
     def contains(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> bool:
         """f ∈ I: a zero test of _reduce against the basis's reducers."""
-        return not _reduce(_integer(f)[0], self._reducers(order), _negkey(order))[0]
+        return not _reduce(_integer(f)[0], self._reducers(order), order.desc)[0]
 
     def reduce(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
         return normal_form(f, self, order)
@@ -432,7 +405,7 @@ def normal_form(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> Po
     rational remainder is exact.
     """
     terms, den = _integer(f)
-    r, mults, shrinks = _reduce(terms, I._reducers(order), _negkey(order))
+    r, mults, shrinks = _reduce(terms, I._reducers(order), order.desc)
     # r = (mults/shrinks)·remainder(f·den)
     den *= mults
     return Polynomial(f.vars, {m: Fraction(c * shrinks, den) for m, c in r.items()})

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from operator import add, itemgetter, le, neg, sub
 
 Mono = tuple  # exponent vector
 
@@ -43,21 +44,21 @@ def check_deadline() -> None:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: Mono, a: Mono) -> Mono:
     """b / a, assuming divisibility."""
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:
@@ -65,41 +66,41 @@ def mono_deg(a: Mono) -> int:
 
 
 class MonomialOrder:
-    """Multiplicative well-order on monomials, realized as a sort key.
+    """Multiplicative well-order on monomials, realized as sort keys.
 
     Kinds: "lex", "degrevlex", and "elim" (block elimination order that
     sends the variables in `front` to the front block, degrevlex within
-    each block).
+    each block).  `key` is the ascending sort key; `desc` sorts the same
+    monomials in the opposite order, so heapq's min-heap pops the largest
+    monomial first.  Once the front blocks of two monomials tie, their
+    front exponents are equal, so the back blocks compare as degrevlex on
+    the whole monomial does, and the keys compare the whole monomial.
     """
 
-    __slots__ = ("kind", "front", "_back")
+    __slots__ = ("kind", "front", "key", "desc")
 
     def __init__(self, kind: str, front: tuple[int, ...] = ()):
         if kind not in ("lex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order kind: {kind}")
         self.kind = kind
         self.front = tuple(sorted(front))
-        self._back = {}
-
-    def key(self, m: Mono):
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        if self.kind == "lex":
-            return m
-        front = self.front
-        back = self._back.get(len(m))
-        if back is None:
-            back = self._back[len(m)] = tuple(
-                i for i in range(len(m)) if i not in front
+        if kind == "lex":
+            self.key = tuple  # the monomial itself
+            self.desc = lambda m: tuple(map(neg, m))
+        elif kind == "degrevlex" or not self.front:
+            self.key = lambda m: (sum(m), tuple(map(neg, reversed(m))))
+            self.desc = lambda m: (-sum(m), m[::-1])
+        elif len(self.front) == 1:
+            i = self.front[0]
+            self.key = lambda m: (m[i], sum(m), tuple(map(neg, reversed(m))))
+            self.desc = lambda m: (-m[i], -sum(m), m[::-1])
+        else:
+            pick = itemgetter(*reversed(self.front))  # front block, reversed
+            self.key = lambda m: (
+                sum(f := pick(m)), tuple(map(neg, f)),
+                sum(m), tuple(map(neg, reversed(m))),
             )
-        fpart = [m[i] for i in front]
-        bpart = [m[i] for i in back]
-        return (
-            sum(fpart),
-            tuple(-e for e in reversed(fpart)),
-            sum(bpart),
-            tuple(-e for e in reversed(bpart)),
-        )
+            self.desc = lambda m: (-sum(f := pick(m)), f, -sum(m), m[::-1])
 
     def __eq__(self, other):
         return (
@@ -401,26 +402,19 @@ class _Parser:
         f = self.base()
         if self.peek() == "^":
             self.pos += 1
-            n = self.natural()
+            n = self.natural("expected a non-negative integer exponent")
             f = f ** n
         return -f if negate else f
 
-    def natural(self) -> int:
+    def natural(self, message: str) -> int:
+        """The digits at the cursor as an int; `message` is the parse error
+        when there are none."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            self.error("expected a non-negative integer exponent")
-        return int(self.text[start:self.pos])
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
+            self.error(message)
         return int(self.text[start:self.pos])
 
     def base(self) -> Polynomial:
@@ -435,13 +429,13 @@ class _Parser:
             self.nesting -= 1
             return f
         if ch.isdigit():
-            num = self.integer()
+            num = self.natural("expected an integer")
             if self.peek() == "/":
                 # only a rational literal may follow; lookahead for a digit
                 save = self.pos
                 self.pos += 1
                 if self.peek().isdigit():
-                    den = self.integer()
+                    den = self.natural("expected an integer")
                     if den == 0:
                         self.error("zero denominator in rational literal")
                     return Polynomial.constant(self.vars, Fraction(num, den))

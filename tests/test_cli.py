@@ -177,14 +177,15 @@ def test_time_budget_bounds_polynomial_powers(monkeypatch):
 
 
 def test_time_budget_bounds_normal_forms(monkeypatch):
-    # parsing c^2000000 is instant, and reducing it modulo P (FractionQ's
-    # normal form) takes about two million steps of the reduction kernel,
-    # about 12 s, so the budget runs out inside the kernel on a fast
-    # machine too (test_groebner checks the kernel's own deadline)
+    # parsing c^8000000 is instant, and reducing it modulo P (FractionQ's
+    # normal form) takes about eight million steps of the reduction kernel,
+    # about 18 s unbounded on a 2-vCPU machine (Python 3.11), nine times the
+    # budget, so the budget runs out inside the kernel on a fast machine
+    # too (test_groebner checks the kernel's own deadline)
     monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "2")
     start = time.monotonic()
     code, out, err = run(["membership", "--ring", "R2", "--m", "1",
-                          "c^2000000"])
+                          "c^8000000"])
     elapsed = time.monotonic() - start
     assert code == 2
     assert out == ""

@@ -6,6 +6,7 @@ output reduces to zero) re-derive correctness independently, with the
 Fraction division below, which shares no code with the integer kernel.
 """
 import random
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -129,6 +130,20 @@ def test_reductions_check_the_deadline():
         ):
             with pytest.raises(TimeoutError, match="over budget"):
                 reduction()
+
+
+def test_reduction_keeps_no_memory(R2):
+    # c^50000 takes 50,000 reduction steps through as many monomials; the
+    # kernel computes their order keys as it goes and keeps none of them
+    f = R2.parse("c^50000")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        R2.nf(f)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1_000_000
 
 
 def test_buchberger_textbook():

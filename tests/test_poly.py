@@ -87,6 +87,46 @@ def test_leading_terms_by_order():
         Polynomial.zero(VARS).leading(DEGREVLEX)
 
 
+def reference_key(order, m):
+    """The block-order key as lists of the front and back exponents, kept
+    independent of MonomialOrder's own keys."""
+    if order.kind == "lex":
+        return m
+    front = order.front  # () for degrevlex: one block
+    fpart = [m[i] for i in front]
+    bpart = [m[i] for i in range(len(m)) if i not in front]
+    return (
+        sum(fpart), tuple(-e for e in reversed(fpart)),
+        sum(bpart), tuple(-e for e in reversed(bpart)),
+    )
+
+
+@st.composite
+def orders_and_monomials(draw):
+    n = draw(st.integers(3, 5))
+    nfront = draw(st.sampled_from([None, 0, 1, 2]))  # None: lex, 0: degrevlex
+    if nfront is None:
+        order = LEX
+    elif nfront == 0:
+        order = DEGREVLEX
+    else:
+        front = draw(st.lists(st.integers(0, n - 1), min_size=nfront,
+                              max_size=nfront, unique=True))
+        order = elimination_order(tuple(front))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=2,
+                          max_size=30, unique=True))
+    return order, monos
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders_and_monomials())
+def test_order_keys_agree(case):
+    order, monos = case
+    ascending = sorted(monos, key=order.key)
+    assert ascending == sorted(monos, key=order.desc, reverse=True)
+    assert ascending == sorted(monos, key=lambda m: reference_key(order, m))
+
+
 def test_monic():
     f = P("3*x^2 + 6*y")
     assert f.monic(DEGREVLEX) == P("x^2 + 2*y")
@@ -112,6 +152,8 @@ def test_parse_rejects_garbage():
     for bad in ("x y", "w", "x +", "x^", "1/0", "(x", "x**2", ""):
         with pytest.raises(PolyParseError):
             P(bad)
+    with pytest.raises(PolyParseError, match="expected a non-negative integer exponent"):
+        P("x^y")
 
 
 def test_parse_nesting_limit():
