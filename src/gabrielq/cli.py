@@ -241,6 +241,14 @@ def cmd_verify(args) -> int:
     return _emit(report, args)
 
 
+def non_negative_int(text: str) -> int:
+    """A count argument; argparse turns the errors into exit 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gq",
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ring spec file, or a bundled name (R1, R2, R3)")
         p.add_argument("--m", type=int, required=need_m, default=None,
                        help="filter bound, 0 <= m < dim R")
-        p.add_argument("--max-degree", type=int, default=None,
+        p.add_argument("--max-degree", type=non_negative_int, default=None,
                        help="bounded witness search degree (default 6)")
         p.add_argument("--out", default=None, help="also write the report here")
 
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("ideal")
     p.add_argument("--seed-ideal", default=None)
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=non_negative_int, default=5)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("contract", help="contraction of (1/den)<numerator> to R")
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximate R(m) as an R-module and report")
     common(p)
     p.add_argument("--seed-ideal", default=None)
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=non_negative_int, default=5)
     p.add_argument("--iterate", action="store_true",
                    help="experimental: re-test membership of generator products")
     p.set_defaults(func=cmd_quotient_survey)
@@ -303,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
     common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=non_negative_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-ideal", default=None)
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=non_negative_int, default=5)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .poly import DEGREVLEX, Polynomial, elimination_order
 from .groebner import (
@@ -114,19 +115,15 @@ def unmixed_split(I: Ideal) -> list[SplitPiece]:
     for i in range(len(pieces) - 1, -1, -1):
         if len(pieces) == 1:
             break
-        rest = [p.ideal for j, p in enumerate(pieces) if j != i]
-        meet = rest[0]
-        for T in rest[1:]:
-            meet = ideal_intersect(meet, T)
+        meet = reduce(ideal_intersect,
+                      [p.ideal for j, p in enumerate(pieces) if j != i])
         if meet.equals(I):
             pieces.pop(i)
             pruned = meet
 
     meet = pruned
     if meet is None:
-        meet = pieces[0].ideal
-        for p in pieces[1:]:
-            meet = ideal_intersect(meet, p.ideal)
+        meet = reduce(ideal_intersect, [p.ideal for p in pieces])
     if not meet.equals(I):
         raise InternalCheckError("piece intersection differs from the input ideal")
     return pieces
@@ -150,10 +147,7 @@ def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
     if not keep:
         S = dom.unit_ideal()
     else:
-        S = keep[0]
-        for T in keep[1:]:
-            S = ideal_intersect(S, T)
-        S = ideal_sum(S, dom.P)
+        S = ideal_sum(reduce(ideal_intersect, keep), dom.P)
     for s in S.gens:
         if s.is_zero:
             continue
@@ -165,9 +159,7 @@ def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
         again = [p.ideal for p in unmixed_split(S) if p.dim >= m]
         if not again:
             raise InternalCheckError("V2 failed: sat_g result is all torsion")
-        S2 = again[0]
-        for T in again[1:]:
-            S2 = ideal_intersect(S2, T)
+        S2 = reduce(ideal_intersect, again)
         if not ideal_sum(S2, dom.P).equals(S):
             raise InternalCheckError(
                 "V2 failed: sat_g result is not a fixpoint of the extraction"

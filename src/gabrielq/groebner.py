@@ -485,107 +485,16 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     return Ideal.with_basis(I.vars, kept, kept)
 
 
-def _standard_monomials(lts, nvars, cap=4096):
-    """Monomials outside <lts>, when that set is finite and small.
-
-    Finiteness is certified by a pure power of every variable appearing
-    among the leading terms; returns None when the criterion fails or the
-    search space exceeds the cap.
-    """
-    bounds = []
-    for i in range(nvars):
-        b = None
-        for lt in lts:
-            if lt[i] and all(e == 0 for j, e in enumerate(lt) if j != i):
-                b = lt[i] if b is None else min(b, lt[i])
-        if b is None:
-            return None
-        bounds.append(b)
-    total = 1
-    for b in bounds:
-        total *= b
-        if total > cap:
-            return None
-    from itertools import product as _product
-    return [
-        m
-        for m in _product(*(range(b) for b in bounds))
-        if not any(mono_divides(lt, m) for lt in lts)
-    ]
-
-
-def _fraction_kernel(A):
-    """Basis of the kernel of the square matrix A over the rationals."""
-    n = len(A)
-    M = [row[:] for row in A]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, n) if M[i][c]), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c]:
-                factor = M[i][c]
-                M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
-        basis.append(v)
-    return basis
-
-
-def _quotient_finite_dim(I: Ideal, f: Polynomial, order=DEGREVLEX):
-    """(I : f) by linear algebra in the finite-dimensional algebra R/I.
-
-    g lies in (I : f) iff multiplication by f kills the residue of g, so
-    the quotient is I plus the kernel of the multiplication matrix on the
-    standard-monomial basis.  Returns None when R/I is not visibly
-    finite-dimensional; the tag elimination handles those, but it is far
-    slower exactly in the zero-dimensional cases this covers.
-    """
-    G = I.groebner(order)
-    if not G:
-        return None
-    lts = [g.leading(order)[0] for g in G]
-    B = _standard_monomials(lts, len(I.vars))
-    if B is None or len(B) > 512:
-        return None
-    index = {m: i for i, m in enumerate(B)}
-    n = len(B)
-    cols = []
-    for m in B:
-        r = normal_form(f * Polynomial(I.vars, {m: Fraction(1)}), I, order)
-        col = [Fraction(0)] * n
-        for mm, c in r.terms.items():
-            col[index[mm]] = c
-        cols.append(col)
-    A = [[cols[j][i] for j in range(n)] for i in range(n)]
-    gens = list(I.gens)
-    for v in _fraction_kernel(A):
-        gens.append(Polynomial(I.vars, {B[j]: v[j] for j in range(n) if v[j]}))
-    return Ideal(I.vars, tuple(gens))
-
-
 def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     """(I : f) = {g : f·g in I}, via (I ∩ <f>)/f.
 
-    (I : c) = I for a nonzero constant c.  When f ∈ I the quotient is the
-    unit ideal, decided by one membership test against the degrevlex basis,
-    with no elimination.  When R/I is finite-dimensional the quotient comes
-    from linear algebra instead; the elimination route can blow up on
-    exactly those inputs.  Otherwise the degrevlex basis of I ∩ <f>,
-    divided by f, is a Groebner basis of (I : f), and the result carries
-    its reduced form.
+    This is the one route for every quotient.  (I : c) = I for a nonzero
+    constant c.  When f ∈ I the quotient is the unit ideal, decided by one
+    membership test against the degrevlex basis, with no elimination.
+    Otherwise the degrevlex basis of I ∩ <f>, divided by f, is a Groebner
+    basis of (I : f), and the result carries its reduced form.  The result
+    contains I, so a caller whose I contains an ideal P need not add P to
+    it again.
     """
     if f.is_zero:
         raise ValueError("ideal quotient by the zero polynomial")
@@ -594,9 +503,6 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     if I.contains(f):
         one = Polynomial.one(I.vars)
         return Ideal.with_basis(I.vars, (one,), (one,))
-    finite = _quotient_finite_dim(I, f)
-    if finite is not None:
-        return finite
     principal = Ideal(I.vars, (f,))
     inter = ideal_intersect(I, principal)
     gens = [exact_divide(g, f) for g in inter.groebner()]

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .poly import Polynomial
-from .groebner import Ideal, ideal_quotient, ideal_sum
+from .groebner import Ideal, ideal_quotient
 from .dimension import NEG_INF, krull_dim
 from .dim_filtration import InternalCheckError
 from .domain import FractionQ
@@ -46,11 +46,14 @@ class MembershipCertificate:
 
 
 def conductor(q: FractionQ, ctx: RmContext) -> Ideal:
-    """The largest ideal J of R with qJ ⊆ R; equals (1) iff q in R."""
+    """The largest ideal J of R with qJ ⊆ R; equals (1) iff q in R.
+
+    J = ((den)+P : num) contains (den)+P, hence P, so no P is added.
+    """
     dom = ctx.R
     if q.is_zero:
         return dom.unit_ideal()
-    return ideal_sum(ideal_quotient(dom.ideal([q.den]), q.num), dom.P)
+    return ideal_quotient(dom.ideal([q.den]), q.num)
 
 
 def in_Rm(q: FractionQ, ctx: RmContext) -> MembershipCertificate:

@@ -202,6 +202,30 @@ def test_deeply_nested_input_is_a_parse_error():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--rounds", "--max-degree"])
+def test_negative_count_is_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemma-2.3", "--ring", "R2", "--m", "1", flag, "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be non-negative, got -3" in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_count_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-2.5", "--ring", "R1", "--m", "1", "--samples", "x"])
+    assert exc.value.code == 2
+    assert "argument --samples: invalid non_negative_int value: 'x'" in capsys.readouterr().err
+
+
+def test_verify_zero_samples_is_valid():
+    code, out, _ = run(["verify", "thm-2.5", "--ring", "R1", "--m", "1",
+                        "--samples", "0", "--seed", "1"])
+    assert code == 0
+    assert "samples: 0" in out
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite", "--ring", "R1", "--m", "1"])

@@ -5,6 +5,7 @@ examples) and frozen; the GB self-checks (every s-polynomial of the
 output reduces to zero) re-derive correctness independently, with the
 Fraction division below, which shares no code with the integer kernel.
 """
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -82,6 +83,85 @@ def reference_remainder(f, G, order):
         else:
             remainder[m] = c
     return Polynomial(f.vars, remainder)
+
+
+def standard_monomials(lts, nvars):
+    """Monomials outside <lts>, when that set is finite.
+
+    Finiteness is certified by a pure power of every variable appearing
+    among the leading terms; returns None when the criterion fails.
+    """
+    if any(not any(lt) for lt in lts):
+        return []  # the unit ideal
+    bounds = []
+    for i in range(nvars):
+        b = None
+        for lt in lts:
+            if lt[i] and all(e == 0 for j, e in enumerate(lt) if j != i):
+                b = lt[i] if b is None else min(b, lt[i])
+        if b is None:
+            return None
+        bounds.append(b)
+    return [
+        m
+        for m in itertools.product(*(range(b) for b in bounds))
+        if not any(mono_divides(lt, m) for lt in lts)
+    ]
+
+
+def fraction_kernel(A):
+    """Basis of the kernel of the square matrix A over the rationals."""
+    n = len(A)
+    M = [row[:] for row in A]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, n) if M[i][c]), None)
+        if pivot_row is None:
+            continue
+        M[r], M[pivot_row] = M[pivot_row], M[r]
+        inv = Fraction(1) / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(n):
+            if i != r and M[i][c]:
+                factor = M[i][c]
+                M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -M[i][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_quotient_kernel(G, f):
+    """(I : f) mod I by linear algebra in R/I, for G a degrevlex basis of I.
+
+    g lies in (I : f) iff multiplication by f kills the residue of g, so
+    (I : f) = I + <K>, where K is the kernel of the multiplication matrix
+    on the standard-monomial basis of R/I, which must be finite.
+    Returns K as polynomials.
+    """
+    lts = [g.leading(DEGREVLEX)[0] for g in G]
+    B = standard_monomials(lts, len(f.vars))
+    assert B is not None, "R/I is not visibly finite-dimensional"
+    index = {m: i for i, m in enumerate(B)}
+    n = len(B)
+    cols = []
+    for m in B:
+        r = reference_remainder(f * Polynomial(f.vars, {m: Fraction(1)}), G, DEGREVLEX)
+        col = [Fraction(0)] * n
+        for mm, c in r.terms.items():
+            col[index[mm]] = c
+        cols.append(col)
+    A = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [Polynomial(f.vars, {B[j]: v[j] for j in range(n) if v[j]})
+            for v in fraction_kernel(A)]
 
 
 def s_polynomial(f, g, order):
@@ -434,3 +514,48 @@ def test_quotient_by_a_member_is_the_unit_ideal_without_elimination(monkeypatch)
     assert q.is_unit
     assert q.groebner() == (Polynomial.one(ABCD),)
     assert "elim" not in orders and not orders
+
+
+# -- ideal_quotient against the linear-algebra reference ----------------
+
+@st.composite
+def leading_power(draw, vars, name):
+    """name^e + p with deg p < e, so name^e is the degrevlex leading term."""
+    e = draw(st.integers(1, 3))
+    f = Polynomial.variable(vars, name) ** e
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.lists(st.integers(0, e - 1), min_size=len(vars),
+                          max_size=len(vars)))
+        if sum(m) < e:
+            f = f + Polynomial(vars, {tuple(m): Fraction(draw(st.integers(-5, 5)))})
+    return f
+
+
+@st.composite
+def zero_dimensional_quotients(draw):
+    """(I, f) with R/I finite-dimensional: <x^a + p, y^b + q> plus extra
+    generators, or R2's relations plus a^k + p and d^l + q."""
+    if draw(st.booleans()):
+        gens = [draw(leading_power(XY, "x")), draw(leading_power(XY, "y"))]
+        gens += draw(st.lists(small_polys(), max_size=1))
+        f = draw(small_polys().filter(lambda f: not f.is_constant))
+        return Ideal(XY, tuple(gens)), f
+    gens = [draw(leading_power(ABCD, "a")), draw(leading_power(ABCD, "d"))]
+    gens += [parse_poly(t, ABCD) for t in R2_RELATIONS]
+    gens += draw(st.lists(abcd_polys(), max_size=1))
+    f = draw(abcd_polys().filter(lambda f: not f.is_constant))
+    return Ideal(ABCD, tuple(gens)), f
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_dimensional_quotients())
+def test_quotient_agrees_with_the_linear_algebra_reference(case):
+    ideal, f = case
+    G = ideal.groebner()
+    Q = ideal_quotient(ideal, f)
+    # Q ⊆ (I : f): f times each generator and basis element lies in I
+    for g in Q.gens + Q.groebner():
+        assert reference_remainder(f * g, G, DEGREVLEX).is_zero
+    # (I : f) ⊆ Q: I and the reference kernel reduce to zero by Q's basis
+    for g in ideal.gens + tuple(reference_quotient_kernel(G, f)):
+        assert reference_remainder(g, Q.groebner(), DEGREVLEX).is_zero

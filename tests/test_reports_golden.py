@@ -32,6 +32,7 @@ COMMANDS = {
     "verify_lemma-3.2_R2": ["verify", "lemma-3.2"] + VERIFY,
     "verify_thm-3.4-survey_R2": ["verify", "thm-3.4-survey"] + VERIFY,
     "verify_lemma-1.2_R2": ["verify", "lemma-1.2"] + VERIFY,
+    "verify_filter-axioms_R2": ["verify", "filter-axioms"] + VERIFY,
 }
 
 
