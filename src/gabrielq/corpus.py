@@ -37,6 +37,7 @@ class RingSpecError(ValueError):
 def parse_ring_spec(text: str, source: str = "<string>") -> dict:
     fields = {"name": "", "vars": "", "relations": "",
               "certified_prime": "", "notes": ""}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -47,6 +48,9 @@ def parse_ring_spec(text: str, source: str = "<string>") -> dict:
         key = key.strip()
         if key not in fields:
             raise RingSpecError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise RingSpecError(f"{source}:{lineno}: repeated key {key!r}")
+        seen.add(key)
         fields[key] = value.strip()
     if not fields["vars"]:
         raise RingSpecError(f"{source}: vars must be nonempty")

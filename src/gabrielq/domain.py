@@ -36,6 +36,12 @@ class AffineDomain:
     def __init__(self, vars, relations, name: str = "R"):
         self.vars = tuple(vars)
         self.name = name
+        for v in self.vars:
+            # the parser reads a letter, then letters, digits or '_'
+            if not (v[:1].isalpha() and all(c.isalnum() or c == "_" for c in v)):
+                raise DomainError(f"variable name {v!r} is not an identifier")
+        if len(set(self.vars)) != len(self.vars):
+            raise DomainError(f"repeated variable name in {', '.join(self.vars)}")
         for f in relations:
             if _visibly_reducible(f):
                 raise DomainError(

@@ -1,9 +1,10 @@
 """Extension and contraction between R and S = R(m).
 
 R(m) itself is handled through finitely generated bounded approximations
-M (a fixpoint of J -> transform(ann(J)) when it converges); every
-downstream verdict carries M's convergence flag, and per-element
-membership (quotient_ring) remains the exact arbiter.
+M (a fixpoint of J -> transform(ann(J)) when it converges), closed once
+under products so that M is a subring of R(m) and an extension I·M needs
+no closure pass; every downstream verdict carries M's convergence flag,
+and per-element membership (quotient_ring) remains the exact arbiter.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class RmGenerators:
     rounds: int
     converged: bool
     seed_ideal: Ideal
+    widened: bool  # closing M under its products added generators
 
     def strictly_contains_R(self) -> bool:
         return not self.module.is_R()
@@ -61,7 +63,9 @@ def rm_generators(ctx: RmContext, seed_ideal: Ideal | None = None,
 
     Iterates M -> transform(ann(M/R)) from transform(seed).  Monotone;
     stops at a fixpoint (converged) or after max_rounds (reported, never
-    silently treated as complete).
+    silently treated as complete), then closes M under its own products
+    once: M is a subring of R(m) (1 ∈ M, as transform(J) ⊇ R), so
+    extend_ideal's I·M needs no closure pass.
     """
     dom = ctx.R
     if seed_ideal is None:
@@ -80,13 +84,14 @@ def rm_generators(ctx: RmContext, seed_ideal: Ideal | None = None,
         M = nxt
     if not converged and M.is_R():
         converged = True  # transform(ann(R)) = transform((1)) = R
-    for q in M.generators():
+    ring = close_subq(M, M)
+    for q in ring.generators():
         cert = in_Rm(q, ctx)
         if not cert.verdict:
             raise InternalCheckError(
                 f"generator {q} of the R(m) approximation fails membership"
             )
-    return RmGenerators(M, rounds, converged, seed_ideal)
+    return RmGenerators(ring, rounds, converged, seed_ideal, ring is not M)
 
 
 @dataclass
@@ -100,16 +105,10 @@ def _module_product(I: Ideal, M: SubQ) -> SubQ:
 
 
 def extend_ideal(I: Ideal, M: RmGenerators, ctx: RmContext) -> ExtendResult:
-    """I^e = I·S, approximated as I·M closed under M-multiplication.
-
-    close_subq checks I·M·M ⊆ I·M; failures widen the module and are
-    reported via the `widened` flag.
-    """
-    product = _module_product(I, M.module)
-    closed, ok = close_subq(product, M, ctx)
-    if not ok:
-        raise InternalCheckError("extension failed to close under M-multiplication")
-    return ExtendResult(closed, closed is not product)
+    """I^e = I·S, approximated as I·M.  M is a ring containing 1, so
+    I·M·M = I·(M·M) ⊆ I·M: the product is already closed under M, and
+    `widened` reports whether rm_generators had to enlarge M to a ring."""
+    return ExtendResult(_module_product(I, M.module), M.widened)
 
 
 def contract_subq(B: SubQ) -> Ideal:
@@ -118,17 +117,17 @@ def contract_subq(B: SubQ) -> Ideal:
     return ideal_quotient(B.num, B.den)
 
 
-def close_subq(k: SubQ, M: RmGenerators, ctx: RmContext):
-    """Close a SubQ under multiplication by M (an S-module approximation)."""
-    dom = ctx.R
+def close_subq(k: SubQ, M: SubQ) -> SubQ:
+    """The smallest module containing k and closed under multiplication by
+    M; k itself when k·M ⊆ k.  Raises InternalCheckError after 4 passes."""
     current = k
     for _ in range(4):
-        bigger = SubQ(dom, current.den * M.module.den,
-                      ideal_product(current.num, M.module.num)).trimmed()
-        if current.contains_subq(bigger):
-            return current, True
-        current = current.union(bigger).trimmed()
-    return current, False
+        product = SubQ(k.dom, current.den * M.den,
+                       ideal_product(current.num, M.num))
+        if current.contains_subq(product):
+            return current
+        current = current.union(product).trimmed()
+    raise InternalCheckError(f"{k!r} does not close under {M!r} in 4 passes")
 
 
 def is_extended(k: SubQ, M: RmGenerators, ctx: RmContext) -> bool:
@@ -158,9 +157,7 @@ def _sample_subq_ideals(ctx: RmContext, M: RmGenerators, rng: random.Random,
                 g = rng.choice(mgens)
                 scaled = SubQ(ctx.R, g.den, ctx.R.ideal([r * g.num]))
                 k = k.union(scaled)
-            k, closed = close_subq(k, M, ctx)
-            if closed:
-                out.append(k)
+            out.append(close_subq(k, M.module))
     return out
 
 

@@ -128,6 +128,15 @@ def test_bad_ring_file():
     assert code == 2
 
 
+def test_ring_file_with_repeated_variable(tmp_path):
+    """Q[x, x] would load with n = 2, so --m 1 would pass for a curve."""
+    p = tmp_path / "dup.ring"
+    p.write_text("name: D\nvars: x, x\nrelations:\ncertified_prime: true\n")
+    code, out, err = run(["membership", "--ring", str(p), "--m", "1", "1/x"])
+    assert code == 2 and out == ""
+    assert "repeated variable name" in err
+
+
 def test_bad_fraction():
     code, _, err = run(["membership", "--ring", "R1", "--m", "1", "q + 1"])
     assert code == 2

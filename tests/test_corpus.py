@@ -1,6 +1,7 @@
 """Ring spec files, the bundled corpus, and fraction parsing."""
 import pytest
 
+from gabrielq.domain import DomainError
 from gabrielq.corpus import (
     BUNDLED,
     RingSpecError,
@@ -48,6 +49,19 @@ def test_parse_ring_spec_errors():
         parse_ring_spec("name: N")  # vars empty
     fields = parse_ring_spec("# comment\nname: N\nvars: x, y\n\nnotes: hi")
     assert fields["name"] == "N" and fields["vars"] == "x, y"
+
+
+def test_parse_ring_spec_rejects_repeated_key():
+    with pytest.raises(RingSpecError, match="repeated key 'relations'"):
+        parse_ring_spec("vars: x, y\nrelations: x^2 - y^3\nrelations:\n")
+
+
+@pytest.mark.parametrize("vars", ["x, x", "2x, y", "x y, z", "x-1"])
+def test_load_rejects_bad_variable_names(tmp_path, vars):
+    p = tmp_path / "bad.ring"
+    p.write_text(f"name: B\nvars: {vars}\nrelations:\ncertified_prime: true\n")
+    with pytest.raises(DomainError):
+        load_ring_file(str(p))
 
 
 def test_load_requires_certified_prime(tmp_path):

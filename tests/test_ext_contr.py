@@ -1,8 +1,11 @@
 """Extension and contraction between R and R(m)."""
+import random
+
 import pytest
 
+from gabrielq import sampling
 from gabrielq.domain import SubQ
-from gabrielq.dim_filtration import sat_g
+from gabrielq.dim_filtration import InternalCheckError, sat_g
 from gabrielq.ext_contr import (
     check_lemma_3_2,
     check_thm_3_4_premise,
@@ -114,9 +117,46 @@ def test_is_extended(ctx2, M2, ctx1, M1):
 def test_close_subq(ctx2, M2):
     R2 = ctx2.R
     k = SubQ(R2, R2.parse("a"), R2.ideal([R2.parse("b^2")]))
-    closed, ok = close_subq(k, M2, ctx2)
-    assert ok
+    closed = close_subq(k, M2.module)
     assert closed.contains_subq(k)
+    assert close_subq(closed, M2.module) is closed
+
+
+def test_converged_M_is_a_ring(ctx1, ctx2, ctx3, M1, M2, M3):
+    """M·M ⊆ M already holds for the converged M and for lemma-3.2's
+    wider one, so closing M returns M itself."""
+    for ctx, M in ((ctx1, M1), (ctx2, M2), (ctx3, M3)):
+        wide = rm_generators(ctx, M.seed_ideal, max_rounds=M.rounds + 2)
+        for module in (M, wide):
+            assert close_subq(module.module, module.module) is module.module
+            assert not module.widened
+
+
+def test_close_subq_widens_a_module_that_is_not_a_ring(ctx3):
+    """R·(y/x) on R3 is not a ring: (y/x)^2 = x.  One pass adds R·x."""
+    R3 = ctx3.R
+    k = SubQ(R3, R3.parse("x"), R3.ideal([R3.parse("y")]))
+    ring = close_subq(k, k)
+    square = SubQ(R3, R3.parse("x^2"), R3.ideal([R3.parse("y^2")]))
+    assert not k.contains_subq(square)
+    assert ring.equals(k.union(square))
+    assert close_subq(ring, ring) is ring
+
+
+def test_close_subq_without_finite_closure_raises(ctx1):
+    """R + R·(y/x) on R1 generates R[y/x], which is no finite R-module."""
+    R1 = ctx1.R
+    k = SubQ(R1, R1.parse("x"), R1.ideal([R1.parse("x"), R1.parse("y")]))
+    with pytest.raises(InternalCheckError):
+        close_subq(k, k)
+
+
+def test_extensions_are_closed_under_M(ctx2, M2):
+    """e·M ⊆ e for every extension e, with no closure pass in extend_ideal."""
+    rng = random.Random(5)
+    for I in sampling.sample_proper_ideals(rng, ctx2.R, 6):
+        e = extend_ideal(I, M2, ctx2).subq
+        assert close_subq(e, M2.module) is e
 
 
 def test_suite_lemma_3_2(ctx1, M1):

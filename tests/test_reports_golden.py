@@ -29,6 +29,7 @@ COMMANDS = {
     "contract_R2": ["contract", "--ring", "R2", "--m", "1", "b^2, a^2", "--den", "a"],
     "extend_R2": ["extend", "--ring", "R2", "--m", "1", "a"],
     "membership_R2": ["membership", "--ring", "R2", "--m", "1", "b^2/a"],
+    "quotient-survey_R2": ["quotient-survey", "--ring", "R2", "--m", "1"],
     "verify_lemma-3.2_R2": ["verify", "lemma-3.2"] + VERIFY,
     "verify_thm-3.4-survey_R2": ["verify", "thm-3.4-survey"] + VERIFY,
     "verify_lemma-1.2_R2": ["verify", "lemma-1.2"] + VERIFY,
