@@ -5,6 +5,11 @@ filter: sat_g(I) = { r : (I : r) has dimension < m }.  The splitting is
 factorization-free pseudo-primary peeling; correctness is enforced a
 posteriori by the V1/V2 post-conditions rather than by the algorithm's
 pedigree, so any violation is an internal error, never a silent result.
+
+Work shared within one call: a sat_g call computes each intersection of
+two ideals at most once (_meet and its per-call dict), across the split's
+prune loop and recheck, its own meet of the kept pieces and the V2 split.
+The dict dies with the call; nothing is cached across calls.
 """
 from __future__ import annotations
 
@@ -43,7 +48,13 @@ def _leading_coeff_factors(I: Ideal, indep: tuple[int, ...]) -> list[Polynomial]
     with coefficients in the subring on the independent set.  Constant
     coefficients are dropped; the separating multiplier is the product of
     the returned factors (or 1 when there are none).
+
+    An empty independent set (a dimension-0 peel) returns [] with no basis
+    computed: the coefficient subring is then Q, so every leading
+    coefficient is a constant and would be dropped.
     """
+    if not indep:
+        return []
     vars = I.vars
     n = len(vars)
     dep = tuple(i for i in range(n) if i not in indep)
@@ -71,13 +82,36 @@ def _leading_coeff_factors(I: Ideal, indep: tuple[int, ...]) -> list[Polynomial]
     return factors
 
 
-def unmixed_split(I: Ideal) -> list[SplitPiece]:
+def _meet(ideals, meets: dict) -> Ideal:
+    """The intersection of `ideals`, folded from the left.
+
+    `meets` maps the reduced bases (GB(A), GB(B)) of two operands to
+    A ∩ B; a caller passes one dict for the whole of its call, so that no
+    intersection is computed twice within it.
+    """
+    def meet2(A: Ideal, B: Ideal) -> Ideal:
+        key = (A.groebner(), B.groebner())
+        C = meets.get(key)
+        if C is None:
+            C = meets[key] = ideal_intersect(A, B)
+        return C
+
+    return reduce(meet2, ideals)
+
+
+def unmixed_split(I: Ideal, *, meets: dict | None = None) -> list[SplitPiece]:
     """Peel I into h-saturated pieces of recorded dimension.
 
     The intersection of the pieces equals I (verified by GB equality).
+    Each residual I + (h^s) grows from the basis the peeled ideal carries
+    (ideal_sum).  The prune loop and the final recheck share one dict of
+    intersections (_meet); sat_g passes its own through `meets`, so that
+    its meet of the kept pieces and its V2 split reuse them too.
     """
     if I.is_unit:
         raise ValueError("cannot split the unit ideal")
+    if meets is None:
+        meets = {}
     pieces: list[SplitPiece] = []
     current = I
     for _ in range(_MAX_PEELS):
@@ -115,15 +149,14 @@ def unmixed_split(I: Ideal) -> list[SplitPiece]:
     for i in range(len(pieces) - 1, -1, -1):
         if len(pieces) == 1:
             break
-        meet = reduce(ideal_intersect,
-                      [p.ideal for j, p in enumerate(pieces) if j != i])
+        meet = _meet([p.ideal for j, p in enumerate(pieces) if j != i], meets)
         if meet.equals(I):
             pieces.pop(i)
             pruned = meet
 
     meet = pruned
     if meet is None:
-        meet = reduce(ideal_intersect, [p.ideal for p in pieces])
+        meet = _meet([p.ideal for p in pieces], meets)
     if not meet.equals(I):
         raise InternalCheckError("piece intersection differs from the input ideal")
     return pieces
@@ -138,16 +171,21 @@ def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
     V1: every generator s of the result has dim(I : s) < m.
     V2: re-running the extraction on the result is a fixpoint (so R/S is
         torsion-free; with V1 this pins S = sat_g(I) exactly).
+
+    One dict of intersections serves the whole call: the split of I, the
+    meet of the kept pieces, and V2's split of S and meet.  When V2 keeps
+    every piece of S, its meet is the one S's split verified.
     """
     m = ctx.m
     dom = ctx.R
+    meets: dict = {}
     if pieces is None:
-        pieces = unmixed_split(I)
+        pieces = unmixed_split(I, meets=meets)
     keep = [p.ideal for p in pieces if p.dim >= m]
     if not keep:
         S = dom.unit_ideal()
     else:
-        S = ideal_sum(reduce(ideal_intersect, keep), dom.P)
+        S = ideal_sum(_meet(keep, meets), dom.P)
     for s in S.gens:
         if s.is_zero:
             continue
@@ -156,10 +194,10 @@ def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
                 f"V1 failed: generator {s} of sat_g is not torsion over the input"
             )
     if not S.is_unit:
-        again = [p.ideal for p in unmixed_split(S) if p.dim >= m]
+        again = [p.ideal for p in unmixed_split(S, meets=meets) if p.dim >= m]
         if not again:
             raise InternalCheckError("V2 failed: sat_g result is all torsion")
-        S2 = reduce(ideal_intersect, again)
+        S2 = _meet(again, meets)
         if not ideal_sum(S2, dom.P).equals(S):
             raise InternalCheckError(
                 "V2 failed: sat_g result is not a fixpoint of the extraction"

@@ -412,13 +412,22 @@ def normal_form(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> Po
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """I + J; it keeps I's stored degrevlex basis when J ⊆ I."""
+    """I + J, with generators I.gens + J.gens.
+
+    When I carries its degrevlex basis, so does the sum: I's own basis when
+    J ⊆ I, and otherwise the basis grown from it, with GB(I) entering
+    buchberger as the known basis and J's generators as ordinary ones.
+    Without a stored basis the sum computes none.
+    """
     if I.vars != J.vars:
         raise ValueError("ideal sum over mismatched variable lists")
+    gens = I.gens + J.gens
     gb = I._gb.get(DEGREVLEX)
-    if gb is not None and all(I.contains(g) for g in J.gens):
-        return Ideal.with_basis(I.vars, I.gens + J.gens, gb)
-    return Ideal(I.vars, I.gens + J.gens)
+    if gb is None:
+        return Ideal(I.vars, gens)
+    if not all(I.contains(g) for g in J.gens):
+        gb = buchberger(gb + J.gens, DEGREVLEX, known=len(gb))
+    return Ideal.with_basis(I.vars, gens, gb)
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:

@@ -247,15 +247,21 @@ class Polynomial:
         return Polynomial(self.vars, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n: int):
+        """self^n.  A one-term base is raised directly (exponents times n,
+        coefficient to the n), so x^4611686018427387904 costs nothing.  Any
+        other base is multiplied in n - 1 times: each product grows the
+        power by the few terms of the base, where squaring would multiply
+        two powers of full size."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if n == 0:
+            return Polynomial.one(self.vars)
+        if len(self.terms) <= 1:
+            return Polynomial(self.vars, {tuple(e * n for e in m): c ** n
+                                          for m, c in self.terms.items()})
+        result = self
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     # -- structure ----------------------------------------------------

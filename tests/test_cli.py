@@ -173,11 +173,13 @@ def test_time_budget_bounds_the_computation(monkeypatch):
 
 def test_time_budget_bounds_polynomial_powers(monkeypatch):
     # parsing this power runs for seconds of Polynomial multiplication
-    # before any Groebner basis is computed
+    # before any Groebner basis is computed (about 5 s unbounded on a
+    # 2-vCPU machine, Python 3.11; ^80 took 1-2 s there, too close to the
+    # budget for a faster machine)
     monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "0.5")
     start = time.monotonic()
     code, out, err = run(["membership", "--ring", "R1", "--m", "1",
-                          "(x + y + 1)^80"])
+                          "(x + y + 1)^120"])
     elapsed = time.monotonic() - start
     assert code == 2
     assert out == ""

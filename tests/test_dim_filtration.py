@@ -5,13 +5,19 @@ import pytest
 
 from gabrielq.groebner import ideal_intersect, ideal_quotient, ideal_sum
 from gabrielq.dimension import krull_dim
+from gabrielq import dim_filtration
 from gabrielq.dim_filtration import (
     InternalCheckError,
+    _leading_coeff_factors,
     is_tg_torsionfree,
     sat_g,
     unmixed_split,
 )
+from gabrielq.poly import DEGREVLEX
 from gabrielq import sampling
+
+# splits into three pieces on R2, one of dimension 0
+PIECES_R2 = "(b+c)*(a-1), (b+c)*(b+1), (b+c)*(c+1), (b+c)*(d-1)"
 
 
 def test_split_rejects_unit_ideal(R1):
@@ -108,3 +114,28 @@ def test_split_on_corpus_rings(ctx2, ctx3):
             meet = ideal_intersect(meet, p.ideal)
         assert meet.equals(I)
         assert all(p.dim <= 1 for p in pieces)
+
+
+def test_sat_g_intersects_each_pair_once(ctx2, monkeypatch):
+    R2 = ctx2.R
+    gens = [R2.parse(t) for t in PIECES_R2.split(",")]
+    assert len(unmixed_split(R2.ideal(gens))) == 3
+    I = R2.ideal(gens)  # a fresh ideal: no basis carried over from that split
+    calls = []
+
+    def counted(A, B):
+        calls.append((A.groebner(), B.groebner()))
+        return ideal_intersect(A, B)
+
+    monkeypatch.setattr(dim_filtration, "ideal_intersect", counted)
+    S = sat_g(I, ctx2)
+    assert S.equals(R2.ideal([R2.parse(t) for t in
+                              ("b + c", "c^2 + a*d", "a*c - c*d", "a^2*d - a*d^2")]))
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_dimension_zero_peel_computes_no_basis(R2):
+    I = R2.ideal([R2.parse(v) for v in R2.vars])
+    assert krull_dim(I) == 0
+    assert _leading_coeff_factors(I, ()) == []
+    assert set(I._gb) <= {DEGREVLEX}

@@ -442,6 +442,22 @@ def test_carried_bases_equal_fresh_buchberger(A, B, f):
         assert result.groebner() == _fresh(result)
 
 
+@settings(max_examples=40, deadline=None)
+@given(abcd_ideals(), st.lists(abcd_polys(), max_size=2), st.integers(0, 3))
+def test_sum_grows_the_carried_basis(A, fs, shape):
+    A.groebner()  # A carries its basis
+    gens = list(fs)
+    if shape == 1:
+        gens += A.gens[:2]  # J ⊆ A when fs is empty
+    elif shape == 2:
+        gens.append(Polynomial.one(ABCD) + A.gens[0])  # 1 ∈ A + J
+    B = Ideal(ABCD, tuple(gens))
+    S = ideal_sum(A, B)
+    assert DEGREVLEX in S._gb  # carried, not recomputed on demand
+    assert S.gens == A.gens + B.gens
+    assert S.groebner() == Ideal(ABCD, A.gens + B.gens).groebner()
+
+
 def test_quotient_by_a_constant_keeps_the_ideal():
     # (I : c) = I; the elimination route would intersect with the unit
     # ideal <3>, get I's generators back and divide them, which are no basis

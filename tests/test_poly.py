@@ -201,3 +201,28 @@ def test_ring_axioms(f, g, h):
 @given(polys())
 def test_round_trip_property(f):
     assert parse_poly(poly_to_str(f), VARS) == f
+
+
+def square_and_multiply(f, n):
+    """f^n by repeated squaring: an independent reference for __pow__."""
+    result = Polynomial.one(f.vars)
+    while n:
+        if n & 1:
+            result = result * f
+        f = f * f
+        n >>= 1
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(1, 5), st.integers(0, 6))
+def test_pow_agrees_with_square_and_multiply(f, den, n):
+    # one-term bases (raised directly) and zero are among the draws
+    f = f.scale(Fraction(1, den))
+    assert f ** n == square_and_multiply(f, n)
+
+
+def test_pow_of_one_term_is_immediate():
+    assert P("-2/3*x*y^2") ** 3 == P("-8/27*x^3*y^6")
+    big = 4611686018427387904
+    assert P("x") ** big == Polynomial(VARS, {(big, 0, 0): Fraction(1)})

@@ -21,11 +21,17 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 VERIFY = ["--ring", "R2", "--m", "1", "--samples", "10", "--seed", "42"]
 
+# splits into three pieces, one of dimension 0: the prune loop, the
+# dimension-0 peel and the residual sums all run
+PIECES_R2 = "(b+c)*(a-1), (b+c)*(b+1), (b+c)*(c+1), (b+c)*(d-1)"
+
 COMMANDS = {
     "saturate_R1": ["saturate", "--ring", "R1", "--m", "1", "x^2*y, x*y^2"],
     "saturate_R2": ["saturate", "--ring", "R2", "--m", "1", "a*b, a*c"],
     "saturate_R3": ["saturate", "--ring", "R3", "--m", "1", "x*z, y*z"],
     "split_R1": ["split", "--ring", "R1", "--m", "1", "x^2, x*y"],
+    "split_R2": ["split", "--ring", "R2", "--m", "1", PIECES_R2],
+    "saturate_R2_pieces": ["saturate", "--ring", "R2", "--m", "1", PIECES_R2],
     "contract_R2": ["contract", "--ring", "R2", "--m", "1", "b^2, a^2", "--den", "a"],
     "extend_R2": ["extend", "--ring", "R2", "--m", "1", "a"],
     "membership_R2": ["membership", "--ring", "R2", "--m", "1", "b^2/a"],
