@@ -1,25 +1,26 @@
 """gq: command-line front end.
 
 Exit codes: 0 = all checks pass, 1 = violations found, 2 = usage or
-contract error.  GQ_TIME_BUDGET_SECS (default 300) is one deadline for
-the whole command, checked once per term inside polynomial
-multiplication, once per S-pair inside every Groebner basis computation,
-once per reduction step of the reduction kernel (groebner._reduce, which
-serves Groebner bases, membership tests and normal forms) and once per
-step of exact division, and again before a suite report is written;
-exceeding it aborts with
-exit code 2 rather than truncating a report, so reports stay
-byte-identical across runs.
+contract error.  GQ_TIME_BUDGET_SECS (default 300; a NaN or negative
+value is a usage error) is one deadline for the whole command, checked
+once per term inside polynomial multiplication, once per S-pair inside
+every Groebner basis computation, once per reduction step of the
+reduction kernel (groebner._reduce, which serves Groebner bases,
+membership tests and normal forms), once per step of exact division,
+once per sampled monomial and unit of its degree, and again before a
+suite report is written; exceeding it aborts with exit code 2 rather
+than truncating a report, so reports stay byte-identical across runs.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .poly import PolyParseError, check_deadline, time_budget
 from .groebner import Ideal
-from .dim_filtration import InternalCheckError, sat_g, unmixed_split
+from .dim_filtration import InternalCheckError, sat_g_split, unmixed_split
 from .domain import DomainError, SubQ
 from .corpus import (
     RingSpecError,
@@ -27,7 +28,7 @@ from .corpus import (
     load_ring_file,
     parse_fraction,
 )
-from .filters import FilterContext, check_filter_axioms, check_lemma_1_2, classify_ore
+from .filters import check_filter_axioms, check_lemma_1_2, classify_ore
 from .quotient_ring import (
     RmContext,
     check_lemma_2_3,
@@ -41,7 +42,6 @@ from .ext_contr import (
     check_thm_3_4_premise,
     contract_subq,
     extend_ideal,
-    in_g,
     rm_generators,
 )
 from .report import Report
@@ -73,7 +73,7 @@ def _ideal_from_text(ctx, text: str) -> Ideal:
 def _emit(report: Report, args) -> int:
     text = report.render()
     sys.stdout.write(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     return 0 if report.ok else 1
@@ -113,8 +113,7 @@ def cmd_saturate(args) -> int:
         raise ValueError("saturate requires a proper ideal")
     report = Report("saturate", {"ring": ctx.R.name, "m": ctx.m,
                                  "ideal": args.ideal})
-    pieces = unmixed_split(I)
-    S = sat_g(I, ctx, pieces)  # raises InternalCheckError if V1/V2 fail
+    S, pieces = sat_g_split(I, ctx)  # raises InternalCheckError if V1/V2 fail
     for i, p in enumerate(pieces, 1):
         report.note(f"piece[{i}].ideal", p.ideal)
         report.note(f"piece[{i}].dim", p.dim)
@@ -144,9 +143,9 @@ def cmd_split(args) -> int:
 
 def _module(ctx, args):
     seed_ideal = None
-    if getattr(args, "seed_ideal", None):
+    if args.seed_ideal:
         seed_ideal = _ideal_from_text(ctx, args.seed_ideal)
-    return rm_generators(ctx, seed_ideal, max_rounds=getattr(args, "rounds", 5))
+    return rm_generators(ctx, seed_ideal, max_rounds=args.rounds)
 
 
 def cmd_extend(args) -> int:
@@ -197,15 +196,6 @@ def cmd_quotient_survey(args) -> int:
     report.note("strictly_contains_R", strict)
     if strict:
         report.note("witness", M.witness_beyond_R())
-    if args.iterate:
-        # experimental: re-test membership of generator pairwise products;
-        # no theorem about iterated localization is asserted
-        gens = M.module.generators()
-        for q1 in gens:
-            for q2 in gens:
-                cert = in_Rm(q1 * q2, ctx)
-                report.check("iterate-product-membership", cert.verdict,
-                             product=str(q1 * q2))
     return _emit(report, args)
 
 
@@ -257,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_m=True):
+    def common(p):
         p.add_argument("--ring", required=True,
                        help="ring spec file, or a bundled name (R1, R2, R3)")
-        p.add_argument("--m", type=int, required=need_m, default=None,
+        p.add_argument("--m", type=int, required=True,
                        help="filter bound, 0 <= m < dim R")
         p.add_argument("--max-degree", type=non_negative_int, default=None,
                        help="bounded witness search degree (default 6)")
@@ -304,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed-ideal", default=None)
     p.add_argument("--rounds", type=non_negative_int, default=5)
-    p.add_argument("--iterate", action="store_true",
-                   help="experimental: re-test membership of generator products")
     p.set_defaults(func=cmd_quotient_survey)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -320,11 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _time_budget_secs() -> float:
+    """GQ_TIME_BUDGET_SECS as a number of seconds >= 0 (0 leaves no time)."""
+    text = os.environ.get("GQ_TIME_BUDGET_SECS", "300")
+    try:
+        limit = float(text)
+    except ValueError:
+        limit = math.nan
+    if not limit >= 0:  # NaN compares false, and would remove the bound
+        raise ValueError(
+            f"GQ_TIME_BUDGET_SECS must be a number of seconds >= 0, got {text!r}"
+        )
+    return limit
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        limit = float(os.environ.get("GQ_TIME_BUDGET_SECS", "300"))
+        limit = _time_budget_secs()
         with time_budget(
             limit, f"command exceeded the GQ_TIME_BUDGET_SECS limit of {limit}s"
         ):

@@ -13,8 +13,8 @@ The dict dies with the call; nothing is cached across calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .poly import DEGREVLEX, Polynomial, elimination_order
@@ -26,7 +26,7 @@ from .groebner import (
     ideal_sum,
     saturate,
 )
-from .dimension import NEG_INF, krull_dim, krull_dim_with_set
+from .dimension import krull_dim, krull_dim_with_set
 
 _MAX_PEELS = 100
 
@@ -61,7 +61,6 @@ def _leading_coeff_factors(I: Ideal, indep: tuple[int, ...]) -> list[Polynomial]
     order = elimination_order(dep) if dep else DEGREVLEX
     gb = I.groebner(order)
     factors: list[Polynomial] = []
-    seen = set()
     for g in gb:
         # outer monomial = exponents on the dependent variables
         lt, _ = g.leading(order)
@@ -75,9 +74,7 @@ def _leading_coeff_factors(I: Ideal, indep: tuple[int, ...]) -> list[Polynomial]
         if f.is_constant:
             continue
         f = f.monic(DEGREVLEX)
-        key = tuple(sorted(f.terms.items()))
-        if key not in seen:
-            seen.add(key)
+        if f not in factors:
             factors.append(f)
     return factors
 
@@ -121,9 +118,7 @@ def unmixed_split(I: Ideal, *, meets: dict | None = None) -> list[SplitPiece]:
         if not factors:
             pieces.append(SplitPiece(current, d, names, Polynomial.one(I.vars), 0))
             break
-        h = Polynomial.one(I.vars)
-        for f in factors:
-            h = h * f
+        h = math.prod(factors[1:], start=factors[0])
         T, s = saturate(current, *factors)
         if T.equals(current):
             # already h-saturated: unmixed over this independent set
@@ -162,12 +157,12 @@ def unmixed_split(I: Ideal, *, meets: dict | None = None) -> list[SplitPiece]:
     return pieces
 
 
-def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
-    """g-saturation: { r : (I : r) in g }, with verified post-conditions.
+def sat_g_split(I: Ideal, ctx) -> tuple[Ideal, list[SplitPiece]]:
+    """(sat_g(I), unmixed_split(I)): g-saturation { r : (I : r) in g } of
+    an ideal I of R (one that contains P), with verified post-conditions,
+    and the split it was computed from.
 
-    `pieces`, when given, is unmixed_split(I), which a caller that also
-    reports the split computes once and passes in.
-
+    Every piece contains I, so their meet contains P: S is an ideal of R.
     V1: every generator s of the result has dim(I : s) < m.
     V2: re-running the extraction on the result is a fixpoint (so R/S is
         torsion-free; with V1 this pins S = sat_g(I) exactly).
@@ -176,19 +171,13 @@ def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
     meet of the kept pieces, and V2's split of S and meet.  When V2 keeps
     every piece of S, its meet is the one S's split verified.
     """
+    ctx.require_ideal_of_R(I)
     m = ctx.m
-    dom = ctx.R
     meets: dict = {}
-    if pieces is None:
-        pieces = unmixed_split(I, meets=meets)
+    pieces = unmixed_split(I, meets=meets)
     keep = [p.ideal for p in pieces if p.dim >= m]
-    if not keep:
-        S = dom.unit_ideal()
-    else:
-        S = ideal_sum(_meet(keep, meets), dom.P)
+    S = _meet(keep, meets) if keep else ctx.R.unit_ideal()
     for s in S.gens:
-        if s.is_zero:
-            continue
         if krull_dim(ideal_quotient(I, s)) >= m:
             raise InternalCheckError(
                 f"V1 failed: generator {s} of sat_g is not torsion over the input"
@@ -197,14 +186,13 @@ def sat_g(I: Ideal, ctx, pieces=None) -> Ideal:
         again = [p.ideal for p in unmixed_split(S, meets=meets) if p.dim >= m]
         if not again:
             raise InternalCheckError("V2 failed: sat_g result is all torsion")
-        S2 = _meet(again, meets)
-        if not ideal_sum(S2, dom.P).equals(S):
+        if not _meet(again, meets).equals(S):
             raise InternalCheckError(
                 "V2 failed: sat_g result is not a fixpoint of the extraction"
             )
-    return S
+    return S, pieces
 
 
-def is_tg_torsionfree(I: Ideal, ctx) -> bool:
-    """True iff R/I has no g-torsion, i.e. sat_g(I) = I."""
-    return sat_g(I, ctx).equals(I)
+def sat_g(I: Ideal, ctx) -> Ideal:
+    """The g-saturation of I; see sat_g_split."""
+    return sat_g_split(I, ctx)[0]

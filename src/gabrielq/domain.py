@@ -10,9 +10,9 @@ A cheap visible-reducibility check rejects relations with a monomial factor.
 """
 from __future__ import annotations
 
-from .poly import DEGREVLEX, Polynomial, mono_deg, parse_poly
-from .groebner import Ideal, ideal_quotient, ideal_quotient_ideal, ideal_sum
-from .dimension import NEG_INF, krull_dim
+from .poly import Polynomial, mono_deg, parse_poly
+from .groebner import Ideal, ideal_quotient_ideal, ideal_sum, normal_form
+from .dimension import krull_dim
 
 
 class DomainError(ValueError):
@@ -55,7 +55,7 @@ class AffineDomain:
 
     def nf(self, f: Polynomial) -> Polynomial:
         """Canonical representative of f modulo P."""
-        return self.P.reduce(f)
+        return normal_form(f, self.P)
 
     def is_zero_elem(self, f: Polynomial) -> bool:
         return self.P.contains(f)

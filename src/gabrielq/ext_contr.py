@@ -100,15 +100,13 @@ class ExtendResult:
     widened: bool
 
 
-def _module_product(I: Ideal, M: SubQ) -> SubQ:
-    return SubQ(M.dom, M.den, ideal_product(I, M.num)).trimmed()
-
-
 def extend_ideal(I: Ideal, M: RmGenerators, ctx: RmContext) -> ExtendResult:
     """I^e = I·S, approximated as I·M.  M is a ring containing 1, so
     I·M·M = I·(M·M) ⊆ I·M: the product is already closed under M, and
     `widened` reports whether rm_generators had to enlarge M to a ring."""
-    return ExtendResult(_module_product(I, M.module), M.widened)
+    module = M.module
+    product = SubQ(module.dom, module.den, ideal_product(I, module.num))
+    return ExtendResult(product.trimmed(), M.widened)
 
 
 def contract_subq(B: SubQ) -> Ideal:

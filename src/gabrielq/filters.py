@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .poly import Polynomial
 from .groebner import Ideal, ideal_intersect, ideal_product, ideal_quotient, ideal_sum
-from .dimension import NEG_INF, krull_dim
+from .dimension import krull_dim
 from .dim_filtration import InternalCheckError, unmixed_split
 from .domain import AffineDomain
 from .report import Report

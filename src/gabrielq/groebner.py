@@ -30,7 +30,7 @@ class InternalCheckError(RuntimeError):
     """A verified post-condition failed: algorithmic bug, not user error."""
 
 
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX):
+def exact_divide(f: Polynomial, g: Polynomial):
     """The quotient f/g when g divides f; a nonzero remainder is a ValueError.
 
     Division returns a quotient rather than a remainder, so it is its own
@@ -38,12 +38,12 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    lt, lc = g.leading(order)
+    lt, lc = g.leading(DEGREVLEX)
     tail = [(m, c) for m, c in g.terms.items() if m != lt]
     work = dict(f.terms)
     quotient: dict = {}
     while work:
-        m = min(work, key=order.desc)  # the largest monomial
+        m = min(work, key=DEGREVLEX.desc)  # the largest monomial
         if not mono_divides(lt, m):
             raise ValueError("exact division with nonzero remainder")
         check_deadline()
@@ -74,15 +74,6 @@ def _integer(f: Polynomial) -> tuple:
     lcm of the coefficient denominators."""
     den = math.lcm(*(c.denominator for c in f.terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
-
-
-def _primitive(f: Polynomial) -> dict:
-    """Integer-primitive multiple of f as a term map monomial -> int.
-
-    Buchberger works on integer coefficients with content 1 throughout:
-    rational coefficients are what make it crawl on dense inputs.
-    """
-    return _content_free(_integer(f)[0])[0]
 
 
 def _reduce(work: dict, reducers, desc) -> tuple:
@@ -160,8 +151,12 @@ def _as_reducer(terms: dict) -> tuple:
 
 
 def _reducer(f: Polynomial, order: MonomialOrder) -> tuple:
-    """(lt, lc, tail) of the integer-primitive multiple of f, with lc > 0."""
-    terms = _primitive(f)
+    """(lt, lc, tail) of the integer-primitive multiple of f, with lc > 0.
+
+    Buchberger works on integer coefficients with content 1 throughout:
+    rational coefficients are what make it crawl on dense inputs.
+    """
+    terms = _content_free(_integer(f)[0])[0]
     lt = f.leading(order)[0]
     return _as_reducer({lt: terms.pop(lt), **terms})
 
@@ -196,14 +191,6 @@ def _reduced_from_reducers(reducers, order: MonomialOrder, vars) -> list:
     return reduced
 
 
-def reduced_basis(G, order: MonomialOrder = DEGREVLEX) -> list:
-    """The reduced Groebner basis of <G>, for G already a Groebner basis
-    under `order`: Buchberger's final stage alone, with no S-pairs."""
-    if not G:
-        return []
-    return _reduced_from_reducers([_reducer(g, order) for g in G], order, G[0].vars)
-
-
 def buchberger(gens, order: MonomialOrder, known: int = 0):
     """Reduced Groebner basis of <gens> under `order`.
 
@@ -220,7 +207,8 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
     primitive, not reduced against each other), and no pair of two of
     them is queued: its S-polynomial already has a standard representation
     in the known basis, so it would reduce to zero.  The caller vouches
-    for the mark; the output is the same as without it.
+    for the mark; the output is the same as without it.  With every
+    generator known, no pair is queued and only the final stage runs.
 
     Pairs are chosen by the sugar strategy (Giovini et al., "One sugar
     cube, please", ISSAC 1991), which unlike the lcm degree also suits
@@ -278,7 +266,8 @@ def buchberger(gens, order: MonomialOrder, known: int = 0):
         if enter(_reducer(g, order), g.total_degree()):
             return [Polynomial.one(vars)]
     for g in start:
-        r = _reduce(_primitive(g), reducers, desc)[0]
+        # _reduce removes the content of what it returns
+        r = _reduce(_integer(g)[0], reducers, desc)[0]
         if r and enter(_as_reducer(r), g.total_degree()):
             return [Polynomial.one(vars)]
 
@@ -337,14 +326,14 @@ class Ideal:
         self._red: dict = {}
 
     @classmethod
-    def with_basis(cls, vars, gens, basis, order: MonomialOrder = DEGREVLEX) -> "Ideal":
-        """<gens> with `basis` stored as its reduced basis under `order`.
+    def with_basis(cls, vars, gens, basis) -> "Ideal":
+        """<gens> with `basis` stored as its reduced degrevlex basis.
 
-        The caller vouches that `basis` is exactly buchberger(gens, order):
+        The caller vouches that `basis` is exactly buchberger(gens, DEGREVLEX):
         reduced, monic and sorted by ascending leading monomial.
         """
         ideal = cls(vars, gens)
-        ideal._gb[order] = tuple(basis)
+        ideal._gb[DEGREVLEX] = tuple(basis)
         return ideal
 
     def groebner(self, order: MonomialOrder = DEGREVLEX):
@@ -370,9 +359,6 @@ class Ideal:
     def contains(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> bool:
         """f ∈ I: a zero test of _reduce against the basis's reducers."""
         return not _reduce(_integer(f)[0], self._reducers(order), order.desc)[0]
-
-    def reduce(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-        return normal_form(f, self, order)
 
     @property
     def is_zero(self) -> bool:
@@ -515,12 +501,12 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     principal = Ideal(I.vars, (f,))
     inter = ideal_intersect(I, principal)
     gens = [exact_divide(g, f) for g in inter.groebner()]
-    return Ideal.with_basis(I.vars, gens, reduced_basis(gens))
+    return Ideal.with_basis(I.vars, gens, buchberger(gens, DEGREVLEX, known=len(gens)))
 
 
 def ideal_quotient_ideal(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) = intersection of (I : g) over the generators g of J."""
-    gens = [g for g in J.gens if not g.is_zero]
+    gens = J.gens
     if not gens:
         raise ValueError("ideal quotient by the zero ideal")
     result = ideal_quotient(I, gens[0])

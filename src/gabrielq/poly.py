@@ -24,10 +24,11 @@ def time_budget(seconds: float, message: str):
 
     Polynomial multiplication checks the deadline once per term of its
     left operand, buchberger once per S-pair, the reduction kernel
-    (groebner._reduce) once per reduction step and exact division once per
-    division step, so every layer above them (parsing and powers included)
-    is bounded without passing the deadline down; past it, the check
-    raises TimeoutError(message).
+    (groebner._reduce) once per reduction step, exact division once per
+    division step and sampling once per monomial and unit of its degree, so
+    every layer above them (parsing and powers included) is bounded without
+    passing the deadline down; past it, the check raises
+    TimeoutError(message).
     """
     token = _DEADLINE.set((time.monotonic() + seconds, message))
     try:
@@ -283,9 +284,9 @@ class Polynomial:
         _, c = self.leading(order)
         return self.scale(Fraction(1) / c)
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
-        """Terms in descending monomial order (deterministic iteration)."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self):
+        """Terms in descending degrevlex order (deterministic iteration)."""
+        return sorted(self.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

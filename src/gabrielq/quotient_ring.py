@@ -8,12 +8,13 @@ every certificate carries both readings at once.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
 from .poly import Polynomial
 from .groebner import Ideal, ideal_quotient
-from .dimension import NEG_INF, krull_dim
+from .dimension import krull_dim
 from .dim_filtration import InternalCheckError
 from .domain import FractionQ
 from .filters import FilterContext, in_cm, in_cm_unit_route, in_g
@@ -63,29 +64,24 @@ def in_Rm(q: FractionQ, ctx: RmContext) -> MembershipCertificate:
 
 
 def rm_add(q1: FractionQ, q2: FractionQ, ctx: RmContext) -> FractionQ:
-    return _closed_op(q1, q2, ctx, "add")
+    return _closed_op(q1, q2, ctx, operator.add)
 
 
 def rm_sub(q1: FractionQ, q2: FractionQ, ctx: RmContext) -> FractionQ:
-    return _closed_op(q1, q2, ctx, "sub")
+    return _closed_op(q1, q2, ctx, operator.sub)
 
 
 def rm_mul(q1: FractionQ, q2: FractionQ, ctx: RmContext) -> FractionQ:
-    return _closed_op(q1, q2, ctx, "mul")
+    return _closed_op(q1, q2, ctx, operator.mul)
 
 
 def _closed_op(q1, q2, ctx, op) -> FractionQ:
     if not in_Rm(q1, ctx).verdict or not in_Rm(q2, ctx).verdict:
         raise ContractError("rm arithmetic requires both operands in R(m)")
-    if op == "add":
-        result = q1 + q2
-    elif op == "sub":
-        result = q1 - q2
-    else:
-        result = q1 * q2
+    result = op(q1, q2)
     if not in_Rm(result, ctx).verdict:
         raise InternalCheckError(
-            f"subring closure failed for {op}({q1}, {q2}) = {result}"
+            f"subring closure failed for {op.__name__}({q1}, {q2}) = {result}"
         )
     return result
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Polynomial, check_deadline
 from .groebner import Ideal, ideal_product, ideal_sum
 from .domain import AffineDomain, FractionQ
 
@@ -20,9 +20,14 @@ MAX_GENS = 3
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int = MAX_DEGREE):
+    """A monomial of degree at most max_degree, drawn one unit of degree at
+    a time.  The deadline is checked once per monomial (over P = 0 a drawn
+    term costs no reduction step) and once per unit of degree."""
+    check_deadline()
     deg = rng.randint(0, max_degree)
     exps = [0] * nvars
     for _ in range(deg):
+        check_deadline()
         exps[rng.randrange(nvars)] += 1
     return tuple(exps)
 

@@ -204,6 +204,33 @@ def test_time_budget_bounds_normal_forms(monkeypatch):
     assert elapsed < 3.5
 
 
+@pytest.mark.parametrize("argv", [
+    # a witness degree of 10^11: one monomial draw is 10^11 steps
+    ["verify", "lemma-1.2", "--ring", "R1", "--m", "1", "--samples", "3",
+     "--max-degree", "100000000000"],
+    # two million draws over P = 0, where no reduction step checks it
+    ["verify", "thm-2.5", "--ring", "R1", "--m", "1", "--samples", "2000000"],
+], ids=["lemma-1.2", "thm-2.5"])
+def test_time_budget_bounds_sampling(monkeypatch, argv):
+    monkeypatch.setenv("GQ_TIME_BUDGET_SECS", "0.5")
+    start = time.monotonic()
+    code, out, err = run(argv)
+    elapsed = time.monotonic() - start
+    assert code == 2
+    assert out == ""
+    assert "GQ_TIME_BUDGET_SECS limit of 0.5s" in err
+    assert elapsed < 1.5
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "soon"])
+def test_invalid_time_budget_is_usage_error(monkeypatch, value):
+    monkeypatch.setenv("GQ_TIME_BUDGET_SECS", value)
+    code, out, err = run(["membership", "--ring", "R1", "--m", "1", "x"])
+    assert code == 2
+    assert out == ""
+    assert f"GQ_TIME_BUDGET_SECS must be a number of seconds >= 0, got {value!r}" in err
+
+
 def test_deeply_nested_input_is_a_parse_error():
     text = "(" * 2000 + "a" + ")" * 2000
     code, out, err = run(["membership", "--ring", "R2", "--m", "1", text])

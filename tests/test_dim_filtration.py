@@ -1,15 +1,17 @@
 """Unmixed splitting and the g-saturation with its post-conditions."""
+import contextlib
+import io
 import random
 
 import pytest
 
-from gabrielq.groebner import ideal_intersect, ideal_quotient, ideal_sum
+from gabrielq.groebner import Ideal, ideal_intersect, ideal_quotient, ideal_sum
 from gabrielq.dimension import krull_dim
 from gabrielq import dim_filtration
+from gabrielq.cli import main
 from gabrielq.dim_filtration import (
     InternalCheckError,
     _leading_coeff_factors,
-    is_tg_torsionfree,
     sat_g,
     unmixed_split,
 )
@@ -55,7 +57,6 @@ def test_sat_g_torsionfree_fixpoint(ctx1):
     R1 = ctx1.R
     I = R1.ideal([R1.parse("x + 1")])
     assert sat_g(I, ctx1).equals(I)
-    assert is_tg_torsionfree(I, ctx1)
 
 
 def test_sat_g_all_torsion_is_unit(ctx1):
@@ -139,3 +140,25 @@ def test_dimension_zero_peel_computes_no_basis(R2):
     assert krull_dim(I) == 0
     assert _leading_coeff_factors(I, ()) == []
     assert set(I._gb) <= {DEGREVLEX}
+
+
+def test_sat_g_rejects_an_ideal_without_P(ctx2):
+    R2 = ctx2.R
+    with pytest.raises(ValueError, match="defining ideal P"):
+        sat_g(Ideal(R2.vars, (R2.parse("a*b"),)), ctx2)
+
+
+@pytest.mark.parametrize("ideal", [PIECES_R2, "a*b, a*c"], ids=["pieces", "ab-ac"])
+def test_gq_saturate_intersects_each_pair_once(ideal, monkeypatch):
+    """gq saturate reports the split that sat_g computed, so the split's
+    intersections share sat_g's per-call dict."""
+    calls = []
+
+    def counted(A, B):
+        calls.append((A.groebner(), B.groebner()))
+        return ideal_intersect(A, B)
+
+    monkeypatch.setattr(dim_filtration, "ideal_intersect", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["saturate", "--ring", "R2", "--m", "1", ideal]) == 0
+    assert len(calls) == len(set(calls)) == 4
